@@ -109,6 +109,32 @@ class TestDeterminismAcrossJobs:
         assert one.to_json_text() == four.to_json_text()
 
 
+class TestDeterminismAcrossHashSeeds:
+    def test_sweep_json_independent_of_hash_seed(self, tmp_path):
+        """String hashing is salted per process: no scheduler may let
+        set iteration order leak into a schedule (IMS used to evict
+        blockers and re-queue violated successors in hash order)."""
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.json"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "sweep", "--size", "4",
+                 "--machines", "P2L4", "--budgets", "32",
+                 "--artifacts", "fig8", "--scheduler", "hrms,ims,swing",
+                 "--json-out", str(out)],
+                cwd=root, check=True, stdout=subprocess.DEVNULL,
+                env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                         PYTHONHASHSEED=seed),
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestCacheAccounting:
     def test_repeated_batch_hits_cache(self, tiny_suite):
         sched_cache.clear()
