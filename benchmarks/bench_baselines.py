@@ -12,10 +12,7 @@ paper's motivation for a feedback loop around the scheduler.
 
 import pytest
 
-# The legacy drivers are benchmarked deliberately; import them from
-# their implementation modules to skip the deprecation shims.
-from repro.core.driver import schedule_with_spilling
-from repro.core.prespill import schedule_with_prescheduling_spill
+from repro.api import compile_loop
 from repro.lifetimes import register_requirements
 from repro.machine import p2l4
 from repro.sched import HRMSScheduler, IMSScheduler, reduce_stages
@@ -42,8 +39,12 @@ def test_baseline_prescheduling_spill(benchmark, needy, record):
     def run():
         pre_ok = it_ok = 0
         for workload in needy:
-            pre = schedule_with_prescheduling_spill(workload.ddg, machine, 32)
-            iterative = schedule_with_spilling(workload.ddg, machine, 32)
+            pre = compile_loop(
+                workload.ddg, machine, strategy="prespill", registers=32
+            )
+            iterative = compile_loop(
+                workload.ddg, machine, strategy="spill", registers=32
+            )
             pre_ok += bool(pre.converged)
             it_ok += bool(iterative.converged)
         return pre_ok, it_ok

@@ -15,12 +15,12 @@ from repro import (
     HRMSScheduler,
     IMSScheduler,
     SwingScheduler,
+    compile_loop,
     compute_mii,
     ddg_from_source,
     p2l4,
     register_requirements,
 )
-from repro.core.driver import schedule_with_spilling
 from repro.graph.analysis import (
     longest_path_lengths,
     longest_path_lengths_reference,
@@ -78,7 +78,7 @@ def test_full_spill_pipeline(benchmark):
     loop = apsi50_like()
 
     def pipeline():
-        return schedule_with_spilling(loop, MACHINE, 32)
+        return compile_loop(loop, MACHINE, strategy="spill", registers=32)
 
     result = benchmark.pedantic(pipeline, rounds=3, iterations=1)
     assert result.converged

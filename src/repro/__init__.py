@@ -22,9 +22,10 @@ with shared caches) runs any registered scheduler
 (:mod:`repro.sched.registry`: ``hrms``/``ims``/``swing``) under any
 registered register-pressure strategy (:mod:`repro.core.registry`:
 ``spill``/``increase``/``prespill``/``combined``/``none``) and always
-returns a :class:`~repro.api.CompilationResult`.  The per-method
-``schedule_*`` entry points re-exported here are deprecated shims kept
-for compatibility.
+returns a :class:`~repro.api.CompilationResult`.  That facade plus the
+strategy registry is the one way to run a register-pressure strategy:
+every built-in driver returns the registry's
+:class:`~repro.core.registry.StrategyOutcome`.
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-versus-measured record.
@@ -58,14 +59,7 @@ from repro.lifetimes import (
     register_requirements,
     variant_lifetimes,
 )
-from repro.core import (
-    SelectionPolicy,
-    apply_spill,
-    schedule_best_of_both,
-    schedule_increasing_ii,
-    schedule_with_prescheduling_spill,
-    schedule_with_spilling,
-)
+from repro.core import SelectionPolicy, apply_spill
 from repro.codegen import emit_loop
 from repro.api import CompilationResult, Pipeline, compile_loop
 from repro.machine.specs import machine_spec, resolve_machine
@@ -104,9 +98,5 @@ __all__ = [
     "register_requirements",
     "res_mii",
     "resolve_machine",
-    "schedule_best_of_both",
-    "schedule_increasing_ii",
-    "schedule_with_prescheduling_spill",
-    "schedule_with_spilling",
     "variant_lifetimes",
 ]

@@ -311,11 +311,18 @@ def _flush_sweep_trace(path: str) -> None:
     """Persist every span a traced sweep produced — pool-worker buffers
     first, then this process's own — into the ``--trace`` database."""
     from repro import pool
-    from repro import trace as trace_mod
     from repro.metrics import MetricsDB
+    from repro.trace import context as trace_context
 
     spans = list(pool.drain_worker_spans())
-    spans.extend(trace_mod.drain_spans())
+    spans.extend(trace_context.drain_spans())
+    dropped = trace_context.dropped_count()
+    if dropped:
+        print(
+            f"repro sweep: --trace: the {trace_context.SPAN_BUFFER_CAP}"
+            f"-span buffer dropped {dropped} span(s), oldest first",
+            file=sys.stderr,
+        )
     if not spans:
         return
     with MetricsDB(path) as db:

@@ -1,35 +1,24 @@
 """Register-constrained software pipelining — the paper's contribution.
 
-.. deprecated::
-    The four per-method entry points exported here
-    (:func:`schedule_with_spilling`, :func:`schedule_increasing_ii`,
-    :func:`schedule_best_of_both`,
-    :func:`schedule_with_prescheduling_spill`) are kept as thin
-    compatibility shims.  New code should call
-    :func:`repro.api.compile_loop` with ``strategy="spill"`` /
-    ``"increase"`` / ``"combined"`` / ``"prespill"`` — one facade, one
-    :class:`~repro.api.CompilationResult` shape, pluggable through
-    :mod:`repro.core.registry`.  The implementations (and their result
-    dataclasses) live on unchanged in the submodules
-    (:mod:`repro.core.driver`, :mod:`repro.core.increase_ii`,
-    :mod:`repro.core.combined`, :mod:`repro.core.prespill`), which is
-    what the strategy registry wraps.
+Four ways to make a modulo-scheduled loop fit in the available register
+file, each a driver module that returns the one
+:class:`~repro.core.registry.StrategyOutcome` shape:
 
-Three ways to make a modulo-scheduled loop fit in the available register
-file:
-
-* :func:`schedule_increasing_ii` — reschedule at ever larger IIs
+* :mod:`repro.core.increase_ii` — reschedule at ever larger IIs
   (Figure 1a; the Cydra 5 approach), with non-convergence detection;
-* :func:`schedule_with_spilling` — the paper's iterative spilling driver
+* :mod:`repro.core.driver` — the paper's iterative spilling driver
   (Figure 1b) with the Max(LT) / Max(LT/Traf) selection heuristics and the
   multiple-lifetimes and last-II-tried accelerations;
-* :func:`schedule_best_of_both` — the combined method sketched in
+* :mod:`repro.core.combined` — the combined method sketched in
   Section 5: spill first, then binary-search plain schedules below the
-  spill II and keep the better loop.
-"""
+  spill II and keep the better loop;
+* :mod:`repro.core.prespill` — the pre-scheduling spill baseline [30].
 
-import functools
-import warnings
+Call them through :func:`repro.api.compile_loop` with ``strategy="spill"``
+/ ``"increase"`` / ``"combined"`` / ``"prespill"``: the facade looks the
+strategy up in :mod:`repro.core.registry` and returns a
+:class:`~repro.api.CompilationResult`.
+"""
 
 from repro.core.select import (
     SelectionPolicy,
@@ -38,55 +27,12 @@ from repro.core.select import (
     spill_candidates,
 )
 from repro.core.spill import SpillHome, apply_spill
-from repro.core.increase_ii import IncreaseIIResult
-from repro.core.increase_ii import schedule_increasing_ii as _increase_impl
-from repro.core.driver import SpillResult
-from repro.core.driver import schedule_with_spilling as _spill_impl
-from repro.core.combined import CombinedResult
-from repro.core.combined import schedule_best_of_both as _combined_impl
-from repro.core.prespill import PreSpillResult
-from repro.core.prespill import (
-    schedule_with_prescheduling_spill as _prespill_impl,
-)
-
-
-def _deprecated_shim(impl, strategy: str):
-    """Wrap a legacy entry point: same behaviour, plus a one-time
-    :class:`DeprecationWarning` pointing at the facade."""
-
-    @functools.wraps(impl)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"repro.core.{impl.__name__} is deprecated; use"
-            f" repro.api.compile_loop(..., strategy={strategy!r})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    return shim
-
-
-schedule_with_spilling = _deprecated_shim(_spill_impl, "spill")
-schedule_increasing_ii = _deprecated_shim(_increase_impl, "increase")
-schedule_best_of_both = _deprecated_shim(_combined_impl, "combined")
-schedule_with_prescheduling_spill = _deprecated_shim(
-    _prespill_impl, "prespill"
-)
 
 __all__ = [
-    "CombinedResult",
-    "IncreaseIIResult",
-    "PreSpillResult",
     "SelectionPolicy",
     "SpillCandidate",
     "SpillHome",
-    "SpillResult",
     "apply_spill",
-    "schedule_best_of_both",
-    "schedule_increasing_ii",
-    "schedule_with_prescheduling_spill",
-    "schedule_with_spilling",
     "select_lifetimes",
     "spill_candidates",
 ]

@@ -15,9 +15,10 @@ getting the best of both at almost no compile-time cost:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
-from repro.core.driver import SpillResult, schedule_with_spilling
+from repro.core.driver import schedule_with_spilling
+from repro.core.registry import StrategyOutcome
 from repro.core.select import SelectionPolicy
 from repro.graph.ddg import DDG
 from repro.lifetimes.requirements import RegisterReport, register_requirements
@@ -28,31 +29,6 @@ from repro.sched.hrms import HRMSScheduler
 from repro.sched.schedule import Schedule
 
 
-@dataclass
-class CombinedResult:
-    """Outcome of the combined method.
-
-    ``method`` is ``"spill"`` or ``"increase_ii"`` depending on which loop
-    was kept; ``spill_result`` retains the spilling run for inspection.
-    """
-
-    converged: bool
-    method: str
-    schedule: Schedule | None
-    report: RegisterReport | None
-    ddg: DDG | None
-    spill_result: SpillResult
-    effort: Effort
-
-    @property
-    def final_ii(self) -> int | None:
-        return self.schedule.ii if self.schedule else None
-
-    @property
-    def memory_ops(self) -> int:
-        return self.ddg.memory_node_count() if self.ddg else 0
-
-
 def schedule_best_of_both(
     ddg: DDG,
     machine: MachineConfig,
@@ -60,39 +36,59 @@ def schedule_best_of_both(
     scheduler: ModuloScheduler | None = None,
     policy: SelectionPolicy = SelectionPolicy.MAX_LT_TRAF,
     exact: bool = True,
-) -> CombinedResult:
+) -> StrategyOutcome:
     """Spill-first, then try to do better without spilling (see module
-    docstring)."""
+    docstring).
+
+    The outcome keeps the spilling run's ``trace``; ``details`` names the
+    kept loop (``method``: ``"spill"`` or ``"increase_ii"``) and records
+    the spilling run's II (``spill_ii``) and spill count
+    (``spill_count``).
+    """
     scheduler = scheduler or HRMSScheduler()
     spill = schedule_with_spilling(
         ddg, machine, available, scheduler=scheduler, policy=policy, exact=exact
     )
     effort = Effort()
     effort.add(spill.effort)
-    if not spill.converged or spill.schedule is None:
-        return CombinedResult(
-            converged=spill.converged,
-            method="spill",
-            schedule=spill.schedule,
-            report=spill.report,
-            ddg=spill.ddg,
-            spill_result=spill,
-            effort=effort,
+    plain = None
+    if spill.converged and spill.schedule is not None:
+        plain = _winning_plain(
+            ddg, machine, available, scheduler, spill.schedule, effort, exact
         )
+    details = {
+        "method": "spill" if plain is None else "increase_ii",
+        "spill_ii": spill.schedule.ii if spill.schedule else None,
+        "spill_count": len(spill.spilled),
+    }
+    if plain is None:
+        return replace(spill, effort=effort, details=details)
+    # the plain schedule may be a shared memo entry: hand out a copy
+    schedule = owned_schedule(plain[0])
+    return replace(
+        spill, schedule=schedule, report=plain[1], ddg=schedule.ddg,
+        spilled=(), effort=effort, details=details,
+    )
 
-    ii_spill = spill.schedule.ii
-    probe = _plain_attempt(ddg, machine, available, scheduler, ii_spill, effort, exact)
+
+def _winning_plain(
+    ddg: DDG,
+    machine: MachineConfig,
+    available: int,
+    scheduler: ModuloScheduler,
+    spill_schedule: Schedule,
+    effort: Effort,
+    exact: bool,
+) -> tuple[Schedule, RegisterReport] | None:
+    """The plain (unspilled) schedule that beats *spill_schedule*, or
+    None when the spilled loop should be kept."""
+    ii_spill = spill_schedule.ii
+    probe = _plain_attempt(
+        ddg, machine, available, scheduler, ii_spill, effort, exact
+    )
     if probe is None:
         # Even at the spill II the plain loop does not fit: keep the spill.
-        return CombinedResult(
-            converged=True,
-            method="spill",
-            schedule=spill.schedule,
-            report=spill.report,
-            ddg=spill.ddg,
-            spill_result=spill,
-            effort=effort,
-        )
+        return None
 
     # Binary search the smallest fitting plain II in [MII, ii_spill].  The
     # paper proposes this search even though fit-vs-II is not strictly
@@ -101,42 +97,24 @@ def schedule_best_of_both(
     low, high = cached_mii(ddg, machine), ii_spill
     while low < high:
         mid = (low + high) // 2
-        candidate = _plain_attempt(ddg, machine, available, scheduler, mid, effort, exact)
+        candidate = _plain_attempt(
+            ddg, machine, available, scheduler, mid, effort, exact
+        )
         if candidate is not None:
             best_plain = candidate
             high = mid
         else:
             low = mid + 1
 
-    plain_schedule, plain_report = best_plain
+    plain_schedule = best_plain[0]
     # Prefer the plain loop on a strict II win; on ties, the steady state
     # is identical, so compare ramp-up (stage count) and fall back to the
     # spill-free loop only when it is not longer to fill and drain.
     plain_wins = plain_schedule.ii < ii_spill or (
         plain_schedule.ii == ii_spill
-        and plain_schedule.stage_count <= spill.schedule.stage_count
+        and plain_schedule.stage_count <= spill_schedule.stage_count
     )
-    if plain_wins:
-        # the plain schedule may be a shared memo entry: hand out a copy
-        plain_schedule = owned_schedule(plain_schedule)
-        return CombinedResult(
-            converged=True,
-            method="increase_ii",
-            schedule=plain_schedule,
-            report=plain_report,
-            ddg=plain_schedule.ddg,
-            spill_result=spill,
-            effort=effort,
-        )
-    return CombinedResult(
-        converged=True,
-        method="spill",
-        schedule=spill.schedule,
-        report=spill.report,
-        ddg=spill.ddg,
-        spill_result=spill,
-        effort=effort,
-    )
+    return best_plain if plain_wins else None
 
 
 def _plain_attempt(

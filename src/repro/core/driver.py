@@ -17,9 +17,9 @@ Accelerations (Section 4.5), both on by default:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import replace
 
+from repro.core.registry import StrategyOutcome
 from repro.core.select import SelectionPolicy, select_lifetimes
 from repro.core.spill import apply_spill
 from repro.graph.ddg import DDG
@@ -40,49 +40,6 @@ from repro.sched.hrms import HRMSScheduler
 from repro.sched.schedule import Schedule
 
 
-@dataclass
-class SpillRound:
-    """One schedule→measure→spill iteration (a point of Figure 7)."""
-
-    ii: int
-    mii: int
-    registers: int
-    max_live: int
-    memory_ops: int
-    spilled_values: tuple[str, ...] = ()
-
-
-@dataclass
-class SpillResult:
-    """Outcome of the spilling driver.
-
-    ``ddg`` is the final (transformed) graph the final schedule runs on;
-    ``rounds`` traces every iteration for the trajectory figures.
-    """
-
-    converged: bool
-    reason: str
-    schedule: Schedule | None
-    report: RegisterReport | None
-    ddg: DDG | None
-    rounds: list[SpillRound] = field(default_factory=list)
-    spilled: list[str] = field(default_factory=list)
-    effort: Effort = field(default_factory=Effort)
-    wall_seconds: float = 0.0
-
-    @property
-    def final_ii(self) -> int | None:
-        return self.schedule.ii if self.schedule else None
-
-    @property
-    def reschedules(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def memory_ops(self) -> int:
-        return self.ddg.memory_node_count() if self.ddg else 0
-
-
 def schedule_with_spilling(
     ddg: DDG,
     machine: MachineConfig,
@@ -95,8 +52,14 @@ def schedule_with_spilling(
     max_rounds: int = 200,
     fuse: bool = True,
     mark_non_spillable: bool = True,
-) -> SpillResult:
+) -> StrategyOutcome:
     """Run Figure 1b's flow until the loop fits in *available* registers.
+
+    ``ddg`` of the outcome is the final (transformed) graph the final
+    schedule runs on; ``trace`` holds one row per schedule→measure→spill
+    round (a point of Figure 7): ``ii``, ``mii``, ``registers``,
+    ``max_live``, ``memory_ops`` and the values that round ``spilled``;
+    ``details`` records the ``policy`` and the number of ``rounds``.
 
     ``fuse`` / ``mark_non_spillable`` weaken the convergence safeguards for
     the ablation studies; leave them on for the paper's algorithm.
@@ -123,18 +86,18 @@ def schedule_with_spilling(
             fuse,
             mark_non_spillable,
         )
-        hit = spill_memo().get(memo_key, _owned_spill_result)
+        hit = spill_memo().get(memo_key, _owned_outcome)
         if hit is not None:
             return hit
-    result = _run_spilling(
+    outcome = _run_spilling(
         ddg, machine, available, scheduler, policy, multiple, last_ii,
         exact, max_rounds, fuse, mark_non_spillable,
     )
     if memo_key is not None:
-        # Store a private copy: the returned result is caller-mutable,
+        # Store a private copy: the returned outcome is caller-mutable,
         # memo entries must never be.
-        spill_memo().put(memo_key, _owned_spill_result(result))
-    return result
+        spill_memo().put(memo_key, _owned_outcome(outcome))
+    return outcome
 
 
 def _run_spilling(
@@ -149,15 +112,27 @@ def _run_spilling(
     max_rounds: int,
     fuse: bool,
     mark_non_spillable: bool,
-) -> SpillResult:
-    started = time.perf_counter()
+) -> StrategyOutcome:
     work = ddg.copy()
     effort = Effort()
-    rounds: list[SpillRound] = []
+    trace: list[dict] = []
     spilled: list[str] = []
     min_ii: int | None = None
     last_schedule: Schedule | None = None
     last_report: RegisterReport | None = None
+
+    def outcome(converged, reason, schedule, report, final_ddg):
+        return StrategyOutcome(
+            converged=converged,
+            reason=reason,
+            schedule=schedule,
+            report=report,
+            ddg=final_ddg,
+            spilled=tuple(spilled),
+            trace=tuple(trace),
+            effort=effort,
+            details={"policy": policy.value, "rounds": len(trace)},
+        )
 
     for _ in range(max_rounds):
         round_mii = cached_mii(work, machine)
@@ -169,16 +144,8 @@ def _run_spilling(
                 scheduler, work, machine, min_ii=min_ii
             )
         except ScheduleError as error:
-            return SpillResult(
-                converged=False,
-                reason=str(error),
-                schedule=_owned(last_schedule),
-                report=last_report,
-                ddg=work,
-                rounds=rounds,
-                spilled=spilled,
-                effort=effort,
-                wall_seconds=time.perf_counter() - started,
+            return outcome(
+                False, str(error), _owned(last_schedule), last_report, work
             )
         effort.attempts += schedule.effort_attempts
         effort.placements += schedule.effort_placements
@@ -190,41 +157,21 @@ def _run_spilling(
             candidates = select_lifetimes(
                 schedule, report, available, policy=policy, multiple=multiple
             )
-        selection = tuple(c.lifetime.value for c in candidates)
-        rounds.append(
-            SpillRound(
-                ii=schedule.ii,
-                mii=round_mii,
-                registers=report.total,
-                max_live=report.estimate,
-                memory_ops=work.memory_node_count(),
-                spilled_values=selection,
-            )
-        )
+        trace.append({
+            "ii": schedule.ii,
+            "mii": round_mii,
+            "registers": report.total,
+            "max_live": report.estimate,
+            "memory_ops": work.memory_node_count(),
+            "spilled": [c.lifetime.value for c in candidates],
+        })
         if report.fits(available):
             schedule = _owned(schedule)
-            return SpillResult(
-                converged=True,
-                reason="fits",
-                schedule=schedule,
-                report=report,
-                ddg=schedule.ddg,
-                rounds=rounds,
-                spilled=spilled,
-                effort=effort,
-                wall_seconds=time.perf_counter() - started,
-            )
-        if not selection:
-            return SpillResult(
-                converged=False,
-                reason="no spillable lifetimes remain",
-                schedule=_owned(schedule),
-                report=report,
-                ddg=work,
-                rounds=rounds,
-                spilled=spilled,
-                effort=effort,
-                wall_seconds=time.perf_counter() - started,
+            return outcome(True, "fits", schedule, report, schedule.ddg)
+        if not candidates:
+            return outcome(
+                False, "no spillable lifetimes remain", _owned(schedule),
+                report, work,
             )
         # Spill into a fresh copy: the graph just scheduled may now be a
         # schedule-memo entry, and memo entries must never mutate.
@@ -244,16 +191,9 @@ def _run_spilling(
             # just scheduled.  (This also warms the MII cache for the next
             # round's schedule call.)
             min_ii = max(schedule.ii, cached_mii(work, machine))
-    return SpillResult(
-        converged=False,
-        reason=f"gave up after {max_rounds} rounds",
-        schedule=_owned(last_schedule),
-        report=last_report,
-        ddg=work,
-        rounds=rounds,
-        spilled=spilled,
-        effort=effort,
-        wall_seconds=time.perf_counter() - started,
+    return outcome(
+        False, f"gave up after {max_rounds} rounds", _owned(last_schedule),
+        last_report, work,
     )
 
 
@@ -263,32 +203,31 @@ def _run_spilling(
 _owned = owned_schedule
 
 
-def _owned_spill_result(result: SpillResult) -> SpillResult:
-    """A caller-owned copy of a (possibly memo-stored) driver result.
+def _owned_outcome(outcome: StrategyOutcome) -> StrategyOutcome:
+    """A caller-owned copy of a (possibly memo-stored) driver outcome.
 
-    The schedule and graph are deep-copied (callers mutate both);
-    ``rounds`` entries and the report are treated as read-only and
-    shared.  When the result's graph *is* the schedule's graph (the
-    converged case) that aliasing is preserved in the copy.
+    The schedule and graph are deep-copied (callers mutate both), and so
+    are the trace rows, effort and details; the report is treated as
+    read-only and shared.  When the outcome's graph *is* the schedule's
+    graph (the converged case) that aliasing is preserved in the copy.
     """
-    schedule = owned_schedule(result.schedule)
-    if result.ddg is None:
+    schedule = owned_schedule(outcome.schedule)
+    if outcome.ddg is None:
         ddg = None
-    elif result.schedule is not None and result.ddg is result.schedule.ddg:
+    elif outcome.schedule is not None and outcome.ddg is outcome.schedule.ddg:
         ddg = schedule.ddg
     else:
-        ddg = result.ddg.copy()
-    return SpillResult(
-        converged=result.converged,
-        reason=result.reason,
+        ddg = outcome.ddg.copy()
+    return replace(
+        outcome,
         schedule=schedule,
-        report=result.report,
         ddg=ddg,
-        rounds=list(result.rounds),
-        spilled=list(result.spilled),
-        effort=Effort(
-            placements=result.effort.placements,
-            attempts=result.effort.attempts,
+        trace=tuple(
+            {**row, "spilled": list(row["spilled"])} for row in outcome.trace
         ),
-        wall_seconds=result.wall_seconds,
+        effort=Effort(
+            placements=outcome.effort.placements,
+            attempts=outcome.effort.attempts,
+        ),
+        details=dict(outcome.details),
     )

@@ -19,8 +19,7 @@ Non-convergence is detected two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.core.registry import StrategyOutcome
 from repro.graph.ddg import DDG
 from repro.lifetimes.requirements import RegisterReport, register_requirements
 from repro.machine.machine import MachineConfig
@@ -28,28 +27,6 @@ from repro.sched.base import Effort, ModuloScheduler
 from repro.sched.cache import cached_mii, owned_schedule, schedule_memo
 from repro.sched.hrms import HRMSScheduler
 from repro.sched.schedule import Schedule
-
-
-@dataclass
-class IncreaseIIResult:
-    """Outcome of the II-increase driver.
-
-    ``trail`` records ``(II, registers)`` for every II actually scheduled —
-    the series Figure 4 plots.  On failure ``schedule`` holds the
-    best-effort (lowest-register) schedule found.
-    """
-
-    converged: bool
-    reason: str
-    schedule: Schedule | None
-    report: RegisterReport | None
-    mii: int
-    trail: list[tuple[int, int]] = field(default_factory=list)
-    effort: Effort = field(default_factory=Effort)
-
-    @property
-    def final_ii(self) -> int | None:
-        return self.schedule.ii if self.schedule else None
 
 
 def distance_register_floor(ddg: DDG) -> int:
@@ -72,29 +49,42 @@ def schedule_increasing_ii(
     patience: int = 8,
     exact: bool = True,
     stop_on_certificate: bool = True,
-) -> IncreaseIIResult:
-    """Figure 1a's flow: schedule, check registers, bump the II, repeat."""
+) -> StrategyOutcome:
+    """Figure 1a's flow: schedule, check registers, bump the II, repeat.
+
+    ``trace`` holds an ``{"ii", "registers"}`` row for every II actually
+    scheduled — the series Figure 4 plots.  On failure ``schedule``
+    holds the best-effort (lowest-register) schedule found.
+    """
     scheduler = scheduler or HRMSScheduler()
     mii = cached_mii(ddg, machine)
     if max_ii is None:
         max_ii = max(mii * 20, mii + 100)
     effort = Effort()
-    trail: list[tuple[int, int]] = []
+    trace: list[dict] = []
     best: tuple[Schedule, RegisterReport] | None = None
     floor = distance_register_floor(ddg)
 
-    if stop_on_certificate and floor > available:
-        return IncreaseIIResult(
-            converged=False,
-            reason=(
-                f"distance/invariant floor {floor} exceeds"
-                f" {available} registers at any II"
-            ),
-            schedule=None,
-            report=None,
-            mii=mii,
-            trail=trail,
+    def outcome(converged, reason, found):
+        schedule, report = found if found else (None, None)
+        schedule = owned_schedule(schedule)
+        return StrategyOutcome(
+            converged=converged,
+            reason=reason,
+            schedule=schedule,
+            report=report,
+            ddg=schedule.ddg if schedule is not None else None,
+            trace=tuple(trace),
             effort=effort,
+            details={"iis_tried": len(trace)},
+        )
+
+    if stop_on_certificate and floor > available:
+        return outcome(
+            False,
+            f"distance/invariant floor {floor} exceeds"
+            f" {available} registers at any II",
+            None,
         )
 
     since_improvement = 0
@@ -106,19 +96,11 @@ def schedule_increasing_ii(
         effort.attempts += schedule.effort_attempts
         effort.placements += schedule.effort_placements
         report = register_requirements(schedule, exact=exact)
-        trail.append((ii, report.total))
+        trace.append({"ii": ii, "registers": report.total})
         if best is None or report.total < best[1].total:
             best = (schedule, report)
         if report.fits(available):
-            return IncreaseIIResult(
-                converged=True,
-                reason="fits",
-                schedule=owned_schedule(schedule),
-                report=report,
-                mii=mii,
-                trail=trail,
-                effort=effort,
-            )
+            return outcome(True, "fits", (schedule, report))
         if best_registers is None or report.total < best_registers:
             best_registers = report.total
             since_improvement = 0
@@ -131,12 +113,4 @@ def schedule_increasing_ii(
         if since_improvement >= patience
         else f"no fitting schedule up to II={max_ii}"
     )
-    return IncreaseIIResult(
-        converged=False,
-        reason=reason,
-        schedule=owned_schedule(best[0]) if best else None,
-        report=best[1] if best else None,
-        mii=mii,
-        trail=trail,
-        effort=effort,
-    )
+    return outcome(False, reason, best)

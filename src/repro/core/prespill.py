@@ -21,40 +21,17 @@ small register files on exactly the loops the paper cares about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.core.registry import StrategyOutcome
 from repro.core.spill import apply_spill
 from repro.graph.analysis import longest_path_lengths
 from repro.ir.operations import Opcode
 from repro.graph.ddg import DDG
 from repro.lifetimes.lifetime import Lifetime
-from repro.lifetimes.requirements import RegisterReport, register_requirements
+from repro.lifetimes.requirements import register_requirements
 from repro.machine.machine import MachineConfig
 from repro.sched.base import ModuloScheduler, ScheduleError
 from repro.sched.cache import cached_mii
 from repro.sched.hrms import HRMSScheduler
-from repro.sched.schedule import Schedule
-
-
-@dataclass
-class PreSpillResult:
-    """Outcome of the pre-scheduling spill baseline."""
-
-    converged: bool
-    reason: str
-    schedule: Schedule | None
-    report: RegisterReport | None
-    ddg: DDG
-    spilled: list[str] = field(default_factory=list)
-    mii: int = 0
-
-    @property
-    def final_ii(self) -> int | None:
-        return self.schedule.ii if self.schedule else None
-
-    @property
-    def memory_ops(self) -> int:
-        return self.ddg.memory_node_count()
 
 
 def static_lifetimes(ddg: DDG, machine: MachineConfig, ii: int) -> list[Lifetime]:
@@ -136,9 +113,10 @@ def schedule_with_prescheduling_spill(
     available: int,
     scheduler: ModuloScheduler | None = None,
     max_spills: int = 100,
-) -> PreSpillResult:
+) -> StrategyOutcome:
     """Wang-style flow: spill statically while the MII is preserved, then
-    schedule once and report whether the loop fits."""
+    schedule once and report whether the loop fits.  ``details`` records
+    the preserved ``base_mii``; there is no per-round ``trace``."""
     scheduler = scheduler or HRMSScheduler()
     work = ddg.copy()
     base_mii = cached_mii(work, machine)
@@ -172,25 +150,19 @@ def schedule_with_prescheduling_spill(
     try:
         schedule = scheduler.schedule(work, machine)
     except ScheduleError as error:
-        return PreSpillResult(
-            converged=False,
-            reason=str(error),
-            schedule=None,
-            report=None,
-            ddg=work,
-            spilled=spilled,
-            mii=base_mii,
-        )
-    report = register_requirements(schedule)
-    fits = report.fits(available)
-    return PreSpillResult(
-        converged=fits,
-        reason="fits" if fits else (
+        schedule, report, fits, reason = None, None, False, str(error)
+    else:
+        report = register_requirements(schedule)
+        fits = report.fits(available)
+        reason = "fits" if fits else (
             f"needs {report.total} registers after the single pass"
-        ),
+        )
+    return StrategyOutcome(
+        converged=fits,
+        reason=reason,
         schedule=schedule,
         report=report,
         ddg=work,
-        spilled=spilled,
-        mii=base_mii,
+        spilled=tuple(spilled),
+        details={"base_mii": base_mii, "mii_preserved": True},
     )

@@ -152,9 +152,10 @@ class Cell:
         return default
 
     def spill_options(self) -> dict:
-        """The ``schedule_with_spilling`` keyword arguments carried by
-        this cell's options tuple; unknown keys are an error (silently
-        dropping one would change the run's semantics)."""
+        """The ``spill`` strategy options carried by this cell's options
+        tuple, typed for :func:`repro.api.compile_loop` (which checks
+        them against :mod:`repro.core.registry`); unknown keys are an
+        error (silently dropping one would change the run's semantics)."""
         result = {}
         for key, value in self.options:
             if key == "policy":

@@ -523,7 +523,7 @@ def schedule_memo() -> ScheduleMemo:
 
 
 # ----------------------------------------------------------------------
-# driver runs (whole spilling-driver results)
+# driver runs (whole spilling-driver outcomes)
 class DriverMemo:
     """Memo for whole driver runs, keyed like the schedule memo.
 
@@ -534,9 +534,11 @@ class DriverMemo:
     never mutate them), and keys start with the input graph's content
     fingerprint — so entries cannot go stale and need no revalidation.
 
-    The stored value is opaque to this module; the driver supplies a
+    The stored value is the spilling driver's
+    :class:`~repro.core.registry.StrategyOutcome`; the driver supplies a
     ``copy`` callable when reading so every hit hands out a fresh,
-    caller-owned result.
+    caller-owned outcome.  An entry the persistent store cannot unpickle
+    (one written by a driver with another result type) reads as a miss.
     """
 
     def __init__(self) -> None:

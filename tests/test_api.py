@@ -78,48 +78,49 @@ class TestCompileLoopCombos:
         assert "DID NOT FIT" in result.render()
 
 
-class TestLegacyEquivalence:
-    """The facade must report exactly what the legacy entry points
-    compute (the drivers run uncached here, so this also checks the
-    spill memo is semantically transparent)."""
+class TestFacadeMatchesDrivers:
+    """The facade must report exactly what the driver modules compute
+    (the drivers run uncached here, so this also checks the spill memo
+    is semantically transparent)."""
 
     def test_spill_equivalence(self):
         result = compile_loop(
             FIG2, machine=MACHINE, strategy="spill", registers=6,
         )
         with sched_cache.disabled():
-            legacy = schedule_with_spilling(_fig2(), _machine(), 6)
-        assert result.converged == legacy.converged
-        assert result.ii == legacy.schedule.ii
-        assert result.registers_used == legacy.report.total
-        assert list(result.spilled) == legacy.spilled
-        assert len(result.trace) == len(legacy.rounds)
-        assert result.memory_ops == legacy.ddg.memory_node_count()
+            direct = schedule_with_spilling(_fig2(), _machine(), 6)
+        assert result.converged == direct.converged
+        assert result.ii == direct.schedule.ii
+        assert result.registers_used == direct.report.total
+        assert result.spilled == direct.spilled
+        assert result.trace == direct.trace
+        assert result.details == direct.details
+        assert result.memory_ops == direct.ddg.memory_node_count()
 
     def test_increase_equivalence(self):
         result = compile_loop(
             FIG2, machine=MACHINE, strategy="increase", registers=8,
         )
         with sched_cache.disabled():
-            legacy = schedule_increasing_ii(_fig2(), _machine(), 8)
-        assert result.converged == legacy.converged
-        assert result.ii == legacy.schedule.ii
-        assert result.registers_used == legacy.report.total
-        assert [
-            (row["ii"], row["registers"]) for row in result.trace
-        ] == legacy.trail
+            direct = schedule_increasing_ii(_fig2(), _machine(), 8)
+        assert result.converged == direct.converged
+        assert result.ii == direct.schedule.ii
+        assert result.registers_used == direct.report.total
+        assert result.trace == direct.trace
+        assert result.details == {"iis_tried": len(direct.trace)}
 
     def test_prespill_equivalence(self):
         result = compile_loop(
             FIG2, machine=MACHINE, strategy="prespill", registers=32,
         )
         with sched_cache.disabled():
-            legacy = schedule_with_prescheduling_spill(
+            direct = schedule_with_prescheduling_spill(
                 _fig2(), _machine(), 32
             )
-        assert result.converged == legacy.converged
-        assert result.ii == legacy.schedule.ii
-        assert result.details["base_mii"] == legacy.mii
+        assert result.converged == direct.converged
+        assert result.ii == direct.schedule.ii
+        assert result.details == direct.details
+        assert result.details["base_mii"] == result.mii
 
     def test_combined_equivalence(self):
         from repro.core.combined import schedule_best_of_both
@@ -128,10 +129,12 @@ class TestLegacyEquivalence:
             FIG2, machine=MACHINE, strategy="combined", registers=6,
         )
         with sched_cache.disabled():
-            legacy = schedule_best_of_both(_fig2(), _machine(), 6)
-        assert result.converged == legacy.converged
-        assert result.ii == legacy.schedule.ii
-        assert result.details["method"] == legacy.method
+            direct = schedule_best_of_both(_fig2(), _machine(), 6)
+        assert result.converged == direct.converged
+        assert result.ii == direct.schedule.ii
+        assert result.details == direct.details
+        assert result.details["method"] == "spill"
+        assert result.details["spill_count"] == len(result.spilled)
 
 
 def _fig2():
@@ -436,18 +439,54 @@ class TestSpillRunMemo:
         assert second.converged == first.converged
         assert second.schedule.ii == first.schedule.ii
         assert second.spilled == first.spilled
-        assert [r.__dict__ for r in second.rounds] == [
-            r.__dict__ for r in first.rounds
-        ]
+        assert second.trace == first.trace
+        assert second.details == first.details
         # results are caller-owned: mutating one leaves the other alone
         assert second.schedule is not first.schedule
         assert second.ddg is not first.ddg
         first.schedule.times.clear()
         first.ddg.nodes.clear()
+        first.trace[0]["spilled"].clear()
+        first.details.clear()
+        first.effort.attempts = -1
         third = schedule_with_spilling(ddg, machine, 6)
         assert third.schedule.ii == second.schedule.ii
+        assert third.trace == second.trace
+        assert third.details == second.details
+        assert third.effort == second.effort
         third.schedule.validate()
         third.ddg.validate()
+
+    def test_unreadable_store_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """A persistent-store entry whose class no longer exists (an
+        older driver's result type) reads as a miss and is rewritten,
+        never raised."""
+        from repro.core import driver
+        from repro.sched import store as sched_store
+
+        class Retired:
+            pass
+
+        Retired.__module__ = "repro.core.driver"
+        Retired.__qualname__ = "RetiredResult"
+        store = sched_store.ScheduleStore(tmp_path)
+        with sched_store.using(store):
+            sched_cache.clear()
+            ddg, machine = _fig2(), _machine()
+            expected = schedule_with_spilling(ddg, machine, 6)
+            assert sched_cache.STATS.spill_misses == 1
+            keys = list(sched_cache.spill_memo()._entries)
+            monkeypatch.setattr(
+                driver, "RetiredResult", Retired, raising=False
+            )
+            assert store.put("spill", keys[0], Retired())
+            monkeypatch.delattr(driver, "RetiredResult")
+            sched_cache.clear()
+            again = schedule_with_spilling(ddg, machine, 6)
+        assert sched_cache.STATS.spill_misses == 1
+        assert sched_cache.STATS.spill_hits == 0
+        assert again.trace == expected.trace
+        assert again.spilled == expected.spilled
 
     def test_different_options_miss(self):
         sched_cache.clear()
@@ -468,30 +507,17 @@ class TestSpillRunMemo:
         assert sched_cache.STATS.spill_misses == 0
 
 
-class TestDeprecatedShims:
-    def test_core_entry_points_warn_and_delegate(self):
-        import repro.core as core
+class TestOneEntryPoint:
+    @pytest.mark.parametrize("module", ["repro", "repro.core"])
+    def test_no_per_driver_entry_points_exported(self, module):
+        """``compile_loop`` plus the strategy registry is the one public
+        way to run a driver; the packages re-export none of them."""
+        import importlib
 
-        with pytest.warns(DeprecationWarning, match="compile_loop"):
-            result = core.schedule_with_spilling(_fig2(), _machine(), 6)
-        assert result.converged
-
-    @pytest.mark.parametrize("entry, strategy", [
-        ("schedule_with_spilling", "spill"),
-        ("schedule_increasing_ii", "increase"),
-        ("schedule_best_of_both", "combined"),
-        ("schedule_with_prescheduling_spill", "prespill"),
-    ])
-    def test_every_shim_names_its_replacement(self, entry, strategy):
-        """Each legacy entry point's warning must spell out the exact
-        compile_loop call that replaces it."""
-        import repro.core as core
-
-        expected = f"repro.api.compile_loop(..., strategy={strategy!r})"
-        with pytest.warns(DeprecationWarning) as caught:
-            getattr(core, entry)(_fig2(), _machine(), 32)
-        messages = [str(w.message) for w in caught]
-        assert any(expected in message for message in messages), messages
+        package = importlib.import_module(module)
+        exported = set(package.__all__) | set(vars(package))
+        assert not {name for name in exported
+                    if name.startswith("schedule_")}
 
 
 class TestEngineIntegration:

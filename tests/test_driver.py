@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import SelectionPolicy, schedule_with_spilling
+from repro.api import compile_loop
+from repro.core import SelectionPolicy
 from repro.graph import ddg_from_source
 from repro.lifetimes import register_requirements
 from repro.machine import generic_machine, p2l4
@@ -10,39 +11,46 @@ from repro.sched import IMSScheduler
 from repro.workloads import NAMED_KERNELS, apsi47_like, apsi50_like
 
 
+def spill(loop, machine, available, scheduler="hrms", **options):
+    return compile_loop(
+        loop, machine, scheduler=scheduler, strategy="spill",
+        registers=available, options=options,
+    )
+
+
 class TestBasicOperation:
     def test_fitting_loop_needs_no_spill(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=32)
+        result = spill(fig2_loop, fig2_machine, available=32)
         assert result.converged
-        assert result.spilled == []
-        assert result.reschedules == 1
+        assert result.spilled == ()
+        assert result.details["rounds"] == 1
 
     def test_fig2_spills_v1(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        result = spill(fig2_loop, fig2_machine, available=6)
         assert result.converged
-        assert result.spilled == ["Ld_y"]
-        assert result.final_ii == 2  # paper Figure 6
+        assert result.spilled == ("Ld_y",)
+        assert result.ii == 2  # paper Figure 6
         assert result.report.fits(6)
 
     def test_original_graph_untouched(self, fig2_loop, fig2_machine):
         before = len(fig2_loop.nodes)
-        schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        spill(fig2_loop, fig2_machine, available=6)
         assert len(fig2_loop.nodes) == before
 
     def test_result_schedule_validates(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        result = spill(fig2_loop, fig2_machine, available=6)
         result.schedule.validate()
         result.ddg.validate()
 
     def test_rounds_recorded(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
-        assert len(result.rounds) == 2
-        assert result.rounds[0].spilled_values == ("Ld_y",)
-        assert result.rounds[1].spilled_values == ()
+        result = spill(fig2_loop, fig2_machine, available=6)
+        assert len(result.trace) == 2
+        assert result.trace[0]["spilled"] == ["Ld_y"]
+        assert result.trace[1]["spilled"] == []
 
     def test_memory_ops_grow(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
-        assert result.rounds[-1].memory_ops > result.rounds[0].memory_ops
+        result = spill(fig2_loop, fig2_machine, available=6)
+        assert result.trace[-1]["memory_ops"] > result.trace[0]["memory_ops"]
 
 
 class TestConvergenceOnHardLoops:
@@ -50,20 +58,20 @@ class TestConvergenceOnHardLoops:
     def test_apsi50_converges_by_spilling(self, available):
         """The paper's central claim: the loop II-increase cannot handle is
         handled by spilling."""
-        result = schedule_with_spilling(apsi50_like(), p2l4(), available)
+        result = spill(apsi50_like(), p2l4(), available)
         assert result.converged
         assert result.report.fits(available)
         result.schedule.validate()
 
     def test_apsi47_converges(self):
-        result = schedule_with_spilling(apsi47_like(), p2l4(), 32)
+        result = spill(apsi47_like(), p2l4(), 32)
         assert result.converged
         result.schedule.validate()
 
     def test_tiny_register_file_reports_failure_gracefully(
         self, fig2_loop, fig2_machine
     ):
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=1)
+        result = spill(fig2_loop, fig2_machine, available=1)
         assert not result.converged
         assert result.reason
         assert result.schedule is not None  # best effort retained
@@ -73,31 +81,31 @@ class TestAccelerations:
     def test_multiple_reduces_reschedules(self):
         loop = apsi50_like()
         machine = p2l4()
-        single = schedule_with_spilling(
+        single = spill(
             loop, machine, 16, multiple=False, last_ii=False
         )
-        batched = schedule_with_spilling(
+        batched = spill(
             loop, machine, 16, multiple=True, last_ii=False
         )
-        assert batched.reschedules <= single.reschedules
+        assert batched.details["rounds"] <= single.details["rounds"]
         assert batched.converged and single.converged
 
     def test_last_ii_never_lowers_final_ii_much(self):
         loop = apsi50_like()
         machine = p2l4()
-        plain = schedule_with_spilling(loop, machine, 16, last_ii=False)
-        pruned = schedule_with_spilling(loop, machine, 16, last_ii=True)
+        plain = spill(loop, machine, 16, last_ii=False)
+        pruned = spill(loop, machine, 16, last_ii=True)
         assert pruned.converged
         # pruning skips IIs below the previous round's II, so the final II
         # can only be >= the unpruned one
-        assert pruned.final_ii >= plain.final_ii
+        assert pruned.ii >= plain.ii
         # ... at a big saving in scheduling attempts for multi-round runs
-        if plain.reschedules > 1:
-            assert pruned.effort.attempts <= plain.effort.attempts
+        if plain.details["rounds"] > 1:
+            assert pruned.attempts <= plain.attempts
 
     def test_policy_plumbs_through(self, fig2_loop, fig2_machine):
         for policy in SelectionPolicy:
-            result = schedule_with_spilling(
+            result = spill(
                 fig2_loop, fig2_machine, 6, policy=policy
             )
             assert result.converged
@@ -105,7 +113,7 @@ class TestAccelerations:
 
 class TestSchedulerAgnosticism:
     def test_driver_with_ims(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(
+        result = spill(
             fig2_loop, fig2_machine, 6, scheduler=IMSScheduler()
         )
         assert result.converged
@@ -115,7 +123,7 @@ class TestSchedulerAgnosticism:
         machine = p2l4()
         for kernel in ("fir8", "stencil5", "pressure_update"):
             ddg = ddg_from_source(NAMED_KERNELS[kernel], name=kernel)
-            result = schedule_with_spilling(ddg, machine, available=12)
+            result = spill(ddg, machine, available=12)
             assert result.converged, kernel
             assert register_requirements(result.schedule).fits(12)
 
@@ -137,11 +145,11 @@ class TestMIICaching:
         monkeypatch.setattr(sched_cache, "compute_mii", counting)
         sched_cache.clear()
         loop = ddg_from_source("x[i] = y[i]*a + y[i-3]")
-        result = schedule_with_spilling(
+        result = spill(
             loop, generic_machine(4, 2), available=6
         )
         assert result.converged
-        assert len(result.rounds) >= 2
+        assert len(result.trace) >= 2
         assert fingerprints, "MII must have been computed"
         assert len(fingerprints) == len(set(fingerprints)), (
             "MII recomputed for unchanged graph content"
@@ -178,13 +186,13 @@ class TestLastIIRestart:
         # spills lifetimes on the recurrence, raising RecMII round over
         # round (6 -> 9 -> 12 ...).
         loop = ddg_from_source("s = s + A0[i]*A1[i]\nt = c0*t + s")
-        return schedule_with_spilling(
+        return spill(
             loop, generic_machine(2, 3), available=3, multiple=False
         )
 
     def test_spilling_raises_mii_above_previous_ii(self):
         result = self._run()
-        trajectory = [(r.ii, r.mii) for r in result.rounds]
+        trajectory = [(r["ii"], r["mii"]) for r in result.trace]
         assert any(
             later_mii > earlier_ii
             for (earlier_ii, _), (_, later_mii) in zip(
@@ -194,18 +202,18 @@ class TestLastIIRestart:
 
     def test_rounds_never_schedule_below_their_mii(self):
         result = self._run()
-        for entry in result.rounds:
-            assert entry.ii >= entry.mii
+        for entry in result.trace:
+            assert entry["ii"] >= entry["mii"]
 
     def test_restart_is_monotone_in_previous_ii(self):
         result = self._run()
-        iis = [r.ii for r in result.rounds]
+        iis = [r["ii"] for r in result.trace]
         assert iis == sorted(iis)
 
 
 class TestEstimateMode:
     def test_inexact_mode_runs(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(
+        result = spill(
             fig2_loop, fig2_machine, 6, exact=False
         )
         assert result.converged

@@ -8,11 +8,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    schedule_best_of_both,
-    schedule_increasing_ii,
-    schedule_with_spilling,
-)
+from repro.api import compile_loop
 from repro.graph import ddg_from_source
 from repro.lifetimes import register_requirements
 from repro.machine import p2l4
@@ -27,19 +23,24 @@ loop_sources = st.builds(
 budgets = st.sampled_from([16, 24, 32, 64])
 
 
+def run(strategy, ddg, budget, **options):
+    return compile_loop(
+        ddg, p2l4(), strategy=strategy, registers=budget, options=options
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(source=loop_sources, budget=budgets)
 def test_spill_driver_contract(source, budget):
     """Converged => the schedule validates, fits the budget, and runs on
     the transformed graph; not converged => a reason is given."""
     ddg = ddg_from_source(source)
-    machine = p2l4()
-    result = schedule_with_spilling(ddg, machine, budget, max_rounds=60)
+    result = run("spill", ddg, budget, max_rounds=60)
     if result.converged:
         result.schedule.validate()
         assert result.schedule.ddg is result.ddg
         assert register_requirements(result.schedule).fits(budget)
-        assert result.rounds[-1].registers <= budget
+        assert result.trace[-1]["registers"] <= budget
     else:
         assert result.reason
     # spill code only ever adds memory operations
@@ -52,15 +53,16 @@ def test_spill_driver_contract(source, budget):
 @given(source=loop_sources, budget=budgets)
 def test_increase_ii_contract(source, budget):
     ddg = ddg_from_source(source)
-    machine = p2l4()
-    result = schedule_increasing_ii(ddg, machine, budget)
+    result = run("increase", ddg, budget)
     if result.converged:
         result.schedule.validate()
         assert result.report.fits(budget)
-        assert result.final_ii >= result.mii
-        # the trail ends at the converged point
-        assert result.trail[-1] == (result.final_ii, result.report.total)
-    iis = [ii for ii, _ in result.trail]
+        assert result.ii >= result.mii
+        # the trace ends at the converged point
+        assert result.trace[-1] == {
+            "ii": result.ii, "registers": result.report.total,
+        }
+    iis = [row["ii"] for row in result.trace]
     assert iis == sorted(iis)
 
 
@@ -68,12 +70,11 @@ def test_increase_ii_contract(source, budget):
 @given(source=loop_sources, budget=budgets)
 def test_combined_never_worse_than_spill(source, budget):
     ddg = ddg_from_source(source)
-    machine = p2l4()
-    spill = schedule_with_spilling(ddg, machine, budget, max_rounds=60)
-    combined = schedule_best_of_both(ddg, machine, budget)
+    spill = run("spill", ddg, budget, max_rounds=60)
+    combined = run("combined", ddg, budget)
     assert combined.converged == spill.converged
     if spill.converged:
-        assert combined.final_ii <= spill.final_ii
+        assert combined.ii <= spill.ii
         assert combined.report.fits(budget)
 
 
@@ -82,9 +83,8 @@ def test_combined_never_worse_than_spill(source, budget):
 def test_budget_monotonicity(source):
     """A bigger register file never yields a slower loop."""
     ddg = ddg_from_source(source)
-    machine = p2l4()
-    tight = schedule_with_spilling(ddg, machine, 16, max_rounds=60)
-    loose = schedule_with_spilling(ddg, machine, 64, max_rounds=60)
+    tight = run("spill", ddg, 16, max_rounds=60)
+    loose = run("spill", ddg, 64, max_rounds=60)
     if tight.converged and loose.converged:
-        assert loose.final_ii <= tight.final_ii
+        assert loose.ii <= tight.ii
         assert loose.memory_ops <= tight.memory_ops

@@ -2,38 +2,45 @@
 
 import pytest
 
-from repro.core import schedule_increasing_ii
+from repro.api import compile_loop
 from repro.core.increase_ii import distance_register_floor
 from repro.graph import ddg_from_source
 from repro.machine import generic_machine, p2l4
 from repro.workloads import apsi47_like, apsi50_like
 
 
+def increase(loop, machine, available, **options):
+    return compile_loop(
+        loop, machine, strategy="increase", registers=available,
+        options=options,
+    )
+
+
 class TestConvergence:
     def test_already_fitting_loop_converges_at_mii(
         self, fig2_loop, fig2_machine
     ):
-        result = schedule_increasing_ii(fig2_loop, fig2_machine, available=64)
+        result = increase(fig2_loop, fig2_machine, available=64)
         assert result.converged
-        assert result.final_ii == result.mii == 1
-        assert result.trail == [(1, result.report.total)]
+        assert result.ii == result.mii == 1
+        assert result.trace == ({"ii": 1, "registers": result.report.total},)
 
     def test_needy_loop_converges_at_larger_ii(
         self, fig2_loop, fig2_machine
     ):
-        result = schedule_increasing_ii(fig2_loop, fig2_machine, available=8)
+        result = increase(fig2_loop, fig2_machine, available=8)
         assert result.converged
-        assert result.final_ii > result.mii
+        assert result.ii > result.mii
         assert result.report.fits(8)
 
     def test_trail_records_every_attempt(self, fig2_loop, fig2_machine):
-        result = schedule_increasing_ii(fig2_loop, fig2_machine, available=7)
-        iis = [ii for ii, _ in result.trail]
+        result = increase(fig2_loop, fig2_machine, available=7)
+        iis = [row["ii"] for row in result.trace]
         assert iis == sorted(iis)
         assert iis[0] == result.mii
 
     def test_schedule_is_valid(self, fig2_loop, fig2_machine):
-        result = schedule_increasing_ii(fig2_loop, fig2_machine, available=8)
+        result = increase(fig2_loop, fig2_machine, available=8)
         result.schedule.validate()
 
 
@@ -42,20 +49,20 @@ class TestNonConvergence:
         loop = apsi50_like()
         floor = distance_register_floor(loop)
         assert floor > 32  # by construction
-        result = schedule_increasing_ii(loop, p2l4(), available=32)
+        result = increase(loop, p2l4(), available=32)
         assert not result.converged
         assert "floor" in result.reason
-        assert result.trail == []  # certificate fires before scheduling
+        assert result.trace == ()  # certificate fires before scheduling
 
     def test_plateau_detection_without_certificate(self):
         loop = apsi50_like()
-        result = schedule_increasing_ii(
+        result = increase(
             loop, p2l4(), available=32, stop_on_certificate=False,
             patience=6,
         )
         assert not result.converged
         assert "plateau" in result.reason
-        assert len(result.trail) > 6
+        assert len(result.trace) > 6
         # best-effort schedule is reported even on failure
         assert result.schedule is not None
         assert result.report.total > 32
@@ -65,13 +72,13 @@ class TestNonConvergence:
         ddg = ddg_from_source(
             "z[i] = c0 + c1*x[i] + c2*x[i]*x[i] + c3*sqrt(x[i]) + c4/x[i]"
         )
-        result = schedule_increasing_ii(ddg, fig2_machine, available=4)
+        result = increase(ddg, fig2_machine, available=4)
         assert not result.converged
         assert "floor" in result.reason
 
     def test_max_ii_exhaustion(self, fig2_loop):
         machine = generic_machine(units=4, latency=2)
-        result = schedule_increasing_ii(
+        result = increase(
             fig2_loop, machine, available=3, max_ii=4, patience=50
         )
         assert not result.converged
@@ -98,10 +105,10 @@ class TestPaperShape:
         its MII but needs a much larger II for 16."""
         loop = apsi47_like()
         machine = p2l4()
-        at32 = schedule_increasing_ii(loop, machine, available=32)
-        at16 = schedule_increasing_ii(
+        at32 = increase(loop, machine, available=32)
+        at16 = increase(
             loop, machine, available=16, patience=30
         )
         assert at32.converged and at16.converged
-        assert at16.final_ii > at32.final_ii
-        assert at16.final_ii >= 2 * at32.mii
+        assert at16.ii > at32.ii
+        assert at16.ii >= 2 * at32.mii

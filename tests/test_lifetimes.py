@@ -108,9 +108,13 @@ class TestSpillabilityMarking:
     def test_spill_created_values_not_spillable(
         self, fig2_loop, fig2_machine
     ):
-        from repro.core import schedule_with_spilling
+        from repro.api import compile_loop
 
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        result = compile_loop(
+
+            fig2_loop, fig2_machine, strategy="spill", registers=6
+
+        )
         lifetimes = variant_lifetimes(result.schedule)
         spill_fed = [lt for lt in lifetimes if lt.value.startswith("Ls")]
         assert spill_fed

@@ -3,7 +3,7 @@ exact numbers of Figures 2, 3, 5 and 6."""
 
 import pytest
 
-from repro.core import schedule_with_spilling
+from repro.api import compile_loop
 from repro.graph.ddg import EdgeKind
 from repro.ir.operations import Opcode
 from repro.lifetimes import max_live, register_requirements, variant_lifetimes
@@ -65,12 +65,14 @@ class TestFigures5And6:
 
     @pytest.fixture
     def spilled(self, fig2_loop, fig2_machine):
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        result = compile_loop(
+            fig2_loop, fig2_machine, strategy="spill", registers=6
+        )
         assert result.converged
         return result
 
     def test_spills_exactly_v1(self, spilled):
-        assert spilled.spilled == ["Ld_y"]
+        assert spilled.spilled == ("Ld_y",)
 
     def test_fig5c_graph(self, spilled):
         # no spill store (the producer was a load); two spill loads
@@ -86,7 +88,7 @@ class TestFigures5And6:
         assert all(e.kind is EdgeKind.REG for e in fused)
 
     def test_final_ii_two(self, spilled):
-        assert spilled.final_ii == 2  # paper: "the II of the spilled loop
+        assert spilled.ii == 2  # paper: "the II of the spilled loop
         # is also 2 cycles"
 
     def test_five_registers_for_variants(self, spilled):

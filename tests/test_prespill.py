@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.core import (
-    schedule_with_prescheduling_spill,
-    schedule_with_spilling,
-)
+from repro.api import compile_loop
 from repro.core.prespill import estimated_pressure, static_lifetimes
 from repro.machine import p2l4
 from repro.sched import compute_mii
 from repro.workloads import apsi47_like, apsi50_like
+
+
+def run(strategy, loop, machine, available):
+    return compile_loop(loop, machine, strategy=strategy, registers=available)
 
 
 class TestStaticEstimates:
@@ -39,12 +40,12 @@ class TestMIIPreservation:
         loop = loop_factory()
         machine = p2l4()
         base_mii = compute_mii(loop, machine)
-        result = schedule_with_prescheduling_spill(loop, machine, 16)
-        assert result.mii == base_mii
+        result = run("prespill", loop, machine, 16)
+        assert result.details["base_mii"] == base_mii
         assert compute_mii(result.ddg, machine) <= base_mii
 
     def test_schedule_valid(self):
-        result = schedule_with_prescheduling_spill(apsi50_like(), p2l4(), 32)
+        result = run("prespill", apsi50_like(), p2l4(), 32)
         assert result.schedule is not None
         result.schedule.validate()
 
@@ -57,20 +58,20 @@ class TestBaselineLimitations:
     def test_apsi50_fails_32_where_iterative_succeeds(self):
         loop = apsi50_like()
         machine = p2l4()
-        pre = schedule_with_prescheduling_spill(loop, machine, 32)
-        iterative = schedule_with_spilling(loop, machine, 32)
+        pre = run("prespill", loop, machine, 32)
+        iterative = run("spill", loop, machine, 32)
         assert not pre.converged
         assert iterative.converged
 
     def test_easy_budget_still_works(self, fig2_loop, fig2_machine):
-        result = schedule_with_prescheduling_spill(
-            fig2_loop, fig2_machine, available=32
+        result = run(
+            "prespill", fig2_loop, fig2_machine, available=32
         )
         assert result.converged
-        assert result.spilled == []
+        assert result.spilled == ()
 
     def test_keeps_best_effort_graph(self):
-        result = schedule_with_prescheduling_spill(apsi50_like(), p2l4(), 8)
+        result = run("prespill", apsi50_like(), p2l4(), 8)
         assert result.ddg is not None
         assert result.report is not None
         assert result.reason

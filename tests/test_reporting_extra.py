@@ -3,7 +3,6 @@ dataclasses' derived fields."""
 
 import pytest
 
-from repro.core.driver import SpillRound
 from repro.eval.metrics import LoopOutcome
 from repro.eval.reporting import format_table
 from repro.graph import ddg_from_source
@@ -50,14 +49,19 @@ class TestLoopOutcome:
         assert outcome.converged
 
 
-class TestSpillRound:
-    def test_fields_round_trip(self):
-        entry = SpillRound(
-            ii=7, mii=5, registers=20, max_live=18, memory_ops=4,
-            spilled_values=("v1", "v2"),
+class TestSpillTraceRow:
+    def test_row_fields(self, fig2_loop, fig2_machine):
+        from repro.api import compile_loop
+
+        result = compile_loop(
+            fig2_loop, fig2_machine, strategy="spill", registers=6
         )
-        assert entry.ii > entry.mii
-        assert entry.spilled_values == ("v1", "v2")
+        first = result.trace[0]
+        assert list(first) == [
+            "ii", "mii", "registers", "max_live", "memory_ops", "spilled",
+        ]
+        assert first["ii"] >= first["mii"]
+        assert first["spilled"] == ["Ld_y"]
 
 
 class TestResultRenderers:

@@ -71,9 +71,13 @@ class TestValidation:
             schedule.validate()
 
     def test_broken_complex_operation_detected(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.api import compile_loop
 
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        result = compile_loop(
+
+            fig2_loop, fig2_machine, strategy="spill", registers=6
+
+        )
         good = result.schedule
         # displace a fused spill load by one cycle
         broken_times = dict(good.times)

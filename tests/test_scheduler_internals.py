@@ -76,10 +76,11 @@ class TestSwingSlotChoice:
         assert swing.effort_placements >= hrms.effort_placements
 
     def test_swing_handles_groups(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.api import compile_loop
 
-        result = schedule_with_spilling(
-            fig2_loop, fig2_machine, 6, scheduler=SwingScheduler()
+        result = compile_loop(
+            fig2_loop, fig2_machine, scheduler=SwingScheduler(),
+            strategy="spill", registers=6,
         )
         assert result.converged
         result.schedule.validate()

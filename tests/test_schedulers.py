@@ -113,9 +113,13 @@ class TestGroupedScheduling:
     """Schedulers must handle the spiller's complex operations."""
 
     def _spilled_graph(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.api import compile_loop
 
-        result = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        result = compile_loop(
+
+            fig2_loop, fig2_machine, strategy="spill", registers=6
+
+        )
         return result.ddg
 
     def test_all_schedulers_respect_fusion(
@@ -126,9 +130,9 @@ class TestGroupedScheduling:
         schedule.validate()  # validate() checks exact fused offsets
 
     def test_recurrence_with_groups(self, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.api import compile_loop
 
         ddg = ddg_from_source("s = s + x[i]*y[i] + z[i]*w[i]")
-        result = schedule_with_spilling(ddg, fig2_machine, available=3)
+        result = compile_loop(ddg, fig2_machine, strategy="spill", registers=3)
         if result.schedule is not None:
             result.schedule.validate()

@@ -71,9 +71,13 @@ class TestEffectiveness:
         assert second.registers_saved == 0
 
     def test_composes_with_spilling(self, fig2_loop, fig2_machine):
-        from repro.core import schedule_with_spilling
+        from repro.api import compile_loop
 
-        spilled = schedule_with_spilling(fig2_loop, fig2_machine, available=6)
+        spilled = compile_loop(
+
+            fig2_loop, fig2_machine, strategy="spill", registers=6
+
+        )
         result = reduce_stages(spilled.schedule)
         result.schedule.validate()
         report = register_requirements(result.schedule)

@@ -711,13 +711,20 @@ class TestTraceCLI:
         with pytest.raises(SystemExit, match="pass --metrics"):
             main(["trace", "top"])
 
-    def test_cluster_stats_prune_cli(self, tmp_path, capsys):
+    def test_cluster_stats_prune_cli(self, tmp_path, capsys, monkeypatch):
+        import time
+
         main, db_path = self._seed_db(tmp_path)
         assert main(["cluster", "stats", "--prune-older-than", "7",
                      "--dry-run", "--metrics", db_path]) == 0
         assert "dry run" in capsys.readouterr().out
-        assert main(["cluster", "stats", "--prune-older-than",
-                     "0.0000001", "--metrics", db_path]) == 0
+        # The 0.0000001-day cutoff is 8.64 ms: advance the clock the CLI
+        # reads by a minute so every span just written is older than it.
+        later = time.time() + 60.0
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "time", lambda: later)
+            assert main(["cluster", "stats", "--prune-older-than",
+                         "0.0000001", "--metrics", db_path]) == 0
         assert "pruned" in capsys.readouterr().out
         with MetricsDB(db_path) as db:
             assert db.spans() == []
@@ -739,3 +746,23 @@ class TestTraceCLI:
         with MetricsDB(str(trace_db)) as db:
             layers = db.span_layers()
         assert set(layers) >= {"worker", "phase"}
+
+    def test_sweep_trace_reports_dropped_spans(self, tmp_path, capsys,
+                                               monkeypatch):
+        from repro.cli import main
+        from repro.trace import context as trace_context
+
+        monkeypatch.setenv(trace.ENV_VAR, "0")  # restored after the test
+        monkeypatch.setattr(trace_context, "SPAN_BUFFER_CAP", 5)
+        trace_db = tmp_path / "trace.sqlite"
+        assert main(["sweep", "--size", "2", "--budgets", "32",
+                     "--artifacts", "table1", "--machines", "P2L4",
+                     "--trace", str(trace_db)]) == 0
+        dropped = trace.dropped_count()
+        assert dropped > 0
+        captured = capsys.readouterr()
+        assert (f"the 5-span buffer dropped {dropped} span(s)"
+                in captured.err)
+        assert "dropped" not in captured.out
+        with MetricsDB(str(trace_db)) as db:
+            assert len(db.spans()) == 5
