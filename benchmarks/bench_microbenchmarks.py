@@ -145,8 +145,8 @@ def test_allocation_probe_reduction(record):
         "allocation_probes",
         "rotating-file end-fit occupancy probes, synthetic suite (40"
         " loops)\n"
-        f"bitmask circle (one probe per slot test): {fast}\n"
-        f"legacy per-cell scan:                     {slow}\n"
+        f"feasible-slot circle (window + gap tests): {fast}\n"
+        f"legacy per-cell scan:                      {slow}\n"
         f"reduction: {ratio:.2f}x",
     )
     assert fast * 3 <= slow, (fast, slow)

@@ -17,15 +17,18 @@ if all arcs are placed without overlap.
 * end-fit: among the feasible start positions, pick the one leaving the
   smallest free gap behind the arc.
 
-Like the PR-4 MRT rework, the circle is one ``R * II``-bit Python int:
-an arc is a shifted ``(1 << L) - 1`` mask folded around the circumference,
-overlap is a single AND, and the gap behind a position falls out of
-``bit_length`` on the rotated occupancy word — the per-cell scans of the
-original implementation (kept as :func:`allocate_registers_reference`,
-the property-test oracle) collapse to a handful of bignum operations per
-candidate slot.  Both paths count their occupancy probes into
-``WORK.alloc_probes`` (cells touched vs. arcs tested), which is what the
-allocation CI gate compares.
+The circle is one ``R * II``-bit Python int, and each value is placed
+from its set of feasible slots rather than by testing slots one by one:
+OR-ing the occupancy word with its rotations by ``1..L-1`` (``log L``
+doublings) marks every start whose arc would overlap, and AND-ing its
+complement with the comb of the value's ``R`` candidate starts leaves
+every feasible slot at once.  Only those slots get a gap evaluation, and
+only when none sits right behind an occupied cell (gap 0).  The per-cell
+scans of the original implementation are kept as
+:func:`allocate_registers_reference`, the property-test oracle.  Both
+paths count their probes into ``WORK.alloc_probes`` — cells touched by
+the reference; one window test per value plus one per gap evaluation
+here — which is what the allocation CI gate compares.
 
 Loop-invariants live in ordinary (static) registers: one each, added on
 top of the rotating allocation by :mod:`repro.lifetimes.requirements`.
@@ -167,15 +170,19 @@ def _try_allocate(
 ) -> dict[str, int] | None:
     """One end-fit placement pass on a ``registers * ii``-bit circle.
 
-    Bit ``c`` of ``occupied`` is circle cell ``c``.  For each candidate
-    slot the arc mask is the length mask shifted to its start and folded
-    around the circumference; the gap behind a feasible start is the run
-    of clear bits at the top of the occupancy word rotated so the start
-    becomes bit 0 — identical, slot for slot, to the reference scan's
-    strict-< first-wins selection.
+    Bit ``c`` of ``occupied`` is circle cell ``c``.  Per value, bit ``p``
+    of ``window`` is set when the arc starting at ``p`` would overlap an
+    occupied cell, so the feasible positions are the comb of the value's
+    candidate starts minus ``window``.  The first feasible position in
+    slot order that sits right behind an occupied cell (gap 0) wins;
+    failing that, the gap behind each feasible position — the free run
+    back to the previous occupied cell — is evaluated in slot order with
+    strict-< first-wins.  That is the reference scan's choice, slot for
+    slot.
     """
     circumference = registers * ii
     full = (1 << circumference) - 1
+    comb = full // ((1 << ii) - 1)  # bit k * ii for k in 0..registers-1
     occupied = 0
     placement: dict[str, int] = {}
     probes = 0
@@ -184,41 +191,49 @@ def _try_allocate(
         if length > circumference:
             WORK.alloc_probes += probes
             return None
-        arc = (1 << length) - 1
-        position = starts[j] % circumference
-        best_slot = -1
-        best_gap = 0
-        for slot in range(registers):
-            probes += 1
-            shifted = arc << position
-            mask = (shifted | (shifted >> circumference)) & full
-            if not occupied & mask:
-                if position:
-                    rotated = (
-                        (occupied >> position)
-                        | (occupied << (circumference - position))
-                    ) & full
-                else:
-                    rotated = occupied
-                gap = (
-                    circumference - rotated.bit_length() if rotated
-                    else circumference
-                )
-                if best_slot < 0 or gap < best_gap:
-                    best_slot = slot
-                    best_gap = gap
-                    if gap == 0:
-                        break
-            position += ii
-            if position >= circumference:
-                position -= circumference
-        if best_slot < 0:
+        origin = starts[j] % circumference
+        probes += 1
+        window = occupied if length else 0
+        span = 1
+        while span < length:
+            step = min(span, length - span)
+            window |= (
+                (window >> step) | (window << (circumference - step))
+            ) & full
+            span += step
+        feasible = (comb << (origin % ii)) & ~window
+        if not feasible:
             WORK.alloc_probes += probes
             return None
-        start = (starts[j] + best_slot * ii) % circumference
-        shifted = arc << start
+        # Zero-gap positions; on an empty circle every gap is the whole
+        # circle, so the first feasible slot wins as if tied at zero.
+        tied = feasible
+        if occupied:
+            tied &= (occupied << 1) | (occupied >> (circumference - 1))
+        # Slot order runs from ``origin`` up, then wraps to the low bits.
+        pool = tied or feasible
+        upper = pool >> origin << origin
+        best = -1
+        best_gap = circumference + 1
+        for bits in (upper, pool ^ upper):
+            while bits and best_gap:
+                low = bits & -bits
+                bits ^= low
+                position = low.bit_length() - 1
+                if tied:
+                    gap = 0
+                else:
+                    probes += 1
+                    behind = occupied & ((1 << position) - 1)
+                    if behind:
+                        gap = position - behind.bit_length()
+                    else:  # wrap: the free run continues at the top
+                        gap = position + circumference - occupied.bit_length()
+                if gap < best_gap:
+                    best, best_gap = position, gap
+        shifted = ((1 << length) - 1) << best
         occupied |= (shifted | (shifted >> circumference)) & full
-        placement[values[j]] = best_slot
+        placement[values[j]] = (best - origin) % circumference // ii
     WORK.alloc_probes += probes
     return placement
 

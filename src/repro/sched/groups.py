@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.graph.analysis import edge_latency
 from repro.graph.ddg import DDG
-from repro.machine.mrt import ModuloReservationTable
+from repro.machine.mrt import Fit, ModuloReservationTable
 
 
 @dataclass
@@ -169,18 +169,23 @@ def latest_start(
 def try_place_unit(
     mrt: ModuloReservationTable, ddg: DDG, unit: Unit, leader_time: int
 ) -> bool:
-    """Place every member at its offset; roll back and return False on any
-    resource conflict."""
-    placed: list[str] = []
-    for member, offset in unit:
-        opcode = ddg.nodes[member].opcode
-        start = leader_time + offset
-        if not mrt.can_place(opcode, start):
-            for name in placed:
-                mrt.remove(name)
+    """Place every member at its offset, or nothing: all members are fitted
+    (each against the table plus the members fitted before it) before any
+    is committed, so a resource conflict leaves the table untouched."""
+    if len(unit.members) == 1:
+        fit = mrt.fit(ddg.nodes[unit.leader].opcode, leader_time)
+        if fit is None:
             return False
-        mrt.place(member, opcode, start)
-        placed.append(member)
+        mrt.commit(unit.leader, fit)
+        return True
+    fits: list[Fit] = []
+    for member, offset in unit:
+        fit = mrt.fit(ddg.nodes[member].opcode, leader_time + offset, fits)
+        if fit is None:
+            return False
+        fits.append(fit)
+    for member, fit in zip(unit.members, fits):
+        mrt.commit(member, fit)
     return True
 
 

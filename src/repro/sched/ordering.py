@@ -73,6 +73,8 @@ def order_nodes(
     span = max(alap.values(), default=0)
     height = {name: span - alap[name] for name in ddg.nodes}
     mobility = {name: alap[name] - depth[name] for name in ddg.nodes}
+    preds = {name: ddg.predecessors(name) for name in ddg.nodes}
+    succs = {name: ddg.successors(name) for name in ddg.nodes}
 
     order: list[str] = []
     ordered: set[str] = set()
@@ -88,10 +90,10 @@ def order_nodes(
         direction = "top-down"
         while pending:
             pred_ready = {
-                name for name in pending if ddg.predecessors(name) & ordered
+                name for name in pending if not preds[name].isdisjoint(ordered)
             }
             succ_ready = {
-                name for name in pending if ddg.successors(name) & ordered
+                name for name in pending if not succs[name].isdisjoint(ordered)
             }
             if direction == "top-down" and pred_ready:
                 frontier = pred_ready
@@ -115,10 +117,8 @@ def order_nodes(
                 clean = {
                     name
                     for name in frontier
-                    if not (
-                        ddg.predecessors(name) & ordered
-                        and ddg.successors(name) & ordered
-                    )
+                    if preds[name].isdisjoint(ordered)
+                    or succs[name].isdisjoint(ordered)
                 }
                 pool = clean or frontier
                 if direction == "top-down":
@@ -130,9 +130,9 @@ def order_nodes(
                 pending.discard(name)
                 frontier.discard(name)
                 if direction == "top-down":
-                    frontier |= ddg.successors(name) & pending
+                    frontier |= succs[name] & pending
                 else:
-                    frontier |= ddg.predecessors(name) & pending
+                    frontier |= preds[name] & pending
             # frontier exhausted: alternate
             direction = "bottom-up" if direction == "top-down" else "top-down"
     return order

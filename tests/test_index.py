@@ -6,11 +6,12 @@ identical* to the legacy whole-graph implementations: same MII, same
 depth/ALAP maps, same node order, same final schedules, byte for byte.
 The oracles here are the pre-index implementations, either kept in the
 codebase (``longest_path_lengths_reference``, ``_recurrence_mii_generic``)
-or replicated verbatim in this file (legacy ``partition_sets``, the
-list-scan reservation table).
+or replicated in this file (legacy ``partition_sets``, a per-cycle
+grid reservation table).
 """
 
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -32,6 +33,7 @@ from repro.ir.operations import FuClass, Opcode
 from repro.machine.machine import generic_machine, p2l4
 from repro.machine.mrt import ModuloReservationTable
 from repro.sched import cache as sched_cache
+from repro.sched.groups import Unit, remove_unit, try_place_unit
 from repro.sched.hrms import HRMSScheduler
 from repro.sched.ims import IMSScheduler
 from repro.sched.mii import compute_mii, rec_mii
@@ -106,43 +108,91 @@ def legacy_asap_alap(ddg, latencies, ii):
     return depth, alap
 
 
-class LegacyMRT(ModuloReservationTable):
-    """The pre-bitmask reservation table: nested list scans."""
+class LegacyMRT:
+    """Standalone reservation-table oracle: one occupant name (or ``None``)
+    per unit and cycle, found by nested list scans; fused groups are placed
+    member by member and rolled back on the first conflict."""
 
-    def _free_unit_by_cycles(self, fu_class, cycles):
-        for unit, row in enumerate(self._grid.get(fu_class, [])):
+    def __init__(self, machine, ii):
+        self.machine = machine
+        self.ii = ii
+        self.grid = {
+            fu_class: [[None] * ii for _ in range(count)]
+            for fu_class, count in machine.fu_counts.items()
+        }
+        self.placements = {}
+
+    def _cycles(self, opcode, start):
+        occupancy = self.machine.occupancy(opcode)
+        if occupancy > self.ii:
+            return None
+        return [(start + j) % self.ii for j in range(occupancy)]
+
+    def _free_unit(self, opcode, start):
+        cycles = self._cycles(opcode, start)
+        if cycles is None:
+            return None
+        rows = self.grid.get(self.machine.fu_class(opcode), [])
+        for unit, row in enumerate(rows):
             if all(row[c] is None for c in cycles):
                 return unit
         return None
 
     def can_place(self, opcode, start):
-        cycles = self._cycles(opcode, start)
-        if cycles is None:
-            return False
-        return (
-            self._free_unit_by_cycles(self.machine.fu_class(opcode), cycles)
-            is not None
-        )
+        return self._free_unit(opcode, start) is not None
 
     def place(self, name, opcode, start):
-        if name in self._placements:
-            raise RuntimeError(f"{name} is already placed")
-        cycles = self._cycles(opcode, start)
+        unit = self._free_unit(opcode, start)
+        if name in self.placements or unit is None:
+            raise RuntimeError(f"cannot place {name}")
         fu_class = self.machine.fu_class(opcode)
-        unit = (
-            None if cycles is None
-            else self._free_unit_by_cycles(fu_class, cycles)
-        )
-        if unit is None:
-            raise RuntimeError(f"no free {fu_class.value} unit for {name}")
+        cycles = self._cycles(opcode, start)
         for cycle in cycles:
-            self._grid[fu_class][unit][cycle] = name
-        self._placements[name] = (fu_class, unit, cycles)
+            self.grid[fu_class][unit][cycle] = name
+        self.placements[name] = (fu_class, unit, cycles)
 
     def remove(self, name):
-        fu_class, unit, cycles = self._placements.pop(name)
+        fu_class, unit, cycles = self.placements.pop(name)
         for cycle in cycles:
-            self._grid[fu_class][unit][cycle] = None
+            self.grid[fu_class][unit][cycle] = None
+
+    def place_unit(self, ddg, unit, leader_time):
+        placed = []
+        for member, offset in unit:
+            opcode = ddg.nodes[member].opcode
+            if not self.can_place(opcode, leader_time + offset):
+                for name in placed:
+                    self.remove(name)
+                return False
+            self.place(member, opcode, leader_time + offset)
+            placed.append(member)
+        return True
+
+    def conflicting(self, opcode, start):
+        cycles = self._cycles(opcode, start)
+        if cycles is None:
+            return set()
+        best = None
+        for row in self.grid.get(self.machine.fu_class(opcode), []):
+            occupants = {row[c] for c in cycles if row[c] is not None}
+            if best is None or len(occupants) < len(best):
+                best = occupants
+        return best or set()
+
+    def utilization(self, fu_class):
+        rows = self.grid.get(fu_class, [])
+        if not rows:
+            return 0.0
+        busy = sum(1 for row in rows for cell in row if cell is not None)
+        return busy / (len(rows) * self.ii)
+
+    def render(self):
+        return "\n".join(
+            f"{fu_class.value}[{unit}] "
+            + " ".join(f"{cell or '.':>10}" for cell in row)
+            for fu_class, rows in self.grid.items()
+            for unit, row in enumerate(rows)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +423,54 @@ class TestBitmaskMRTMatchesOracle:
                     assert fast.conflicting(opcode, start) == slow.conflicting(
                         opcode, start
                     )
+
+    def test_randomized_fused_group_parity(self):
+        """Fused groups: a rejected ``try_place_unit`` leaves every mask
+        and placement untouched, and an accepted one picks the same units
+        as the oracle's place-then-rollback."""
+        machine = p2l4()
+        opcodes = [
+            Opcode.LOAD, Opcode.STORE, Opcode.ADD, Opcode.MUL, Opcode.DIV,
+        ]
+        rng = random.Random(1995)
+        for ii in (1, 2, 3, 5, 17, 19):
+            fast = ModuloReservationTable(machine, ii)
+            slow = LegacyMRT(machine, ii)
+            ddg = SimpleNamespace(nodes={})
+            live: list[Unit] = []
+            for step in range(300):
+                if live and rng.random() < 0.3:
+                    unit = live.pop(rng.randrange(len(live)))
+                    remove_unit(fast, unit)
+                    for member, _ in unit:
+                        slow.remove(member)
+                    continue
+                members = {}
+                for index in range(rng.choice((1, 2, 2, 3))):
+                    name = f"op{step}_{index}"
+                    ddg.nodes[name] = SimpleNamespace(
+                        opcode=rng.choice(opcodes)
+                    )
+                    members[name] = 0 if index == 0 else rng.randrange(0, 6)
+                unit = Unit(f"op{step}_0", members)
+                leader_time = rng.randrange(-5, 40)
+                masks = {c: list(row) for c, row in fast._masks.items()}
+                placements = dict(fast._placements)
+                placed = try_place_unit(fast, ddg, unit, leader_time)
+                assert placed == slow.place_unit(ddg, unit, leader_time), (
+                    ii, step,
+                )
+                if placed:
+                    live.append(unit)
+                    for member in members:
+                        fu_class, chosen, _ = fast._placements[member]
+                        assert (fu_class, chosen) == slow.placements[
+                            member
+                        ][:2], (ii, step, member)
+                else:
+                    assert fast._masks == masks, (ii, step)
+                    assert fast._placements == placements, (ii, step)
+                assert fast.render() == slow.render(), (ii, step)
 
     def test_non_pipelined_overflow_rejected(self):
         mrt = ModuloReservationTable(p2l4(), 5)

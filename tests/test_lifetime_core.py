@@ -11,6 +11,9 @@ edge-scan oracles for ``static_lifetimes`` and
 ``distance_register_floor`` replicated verbatim in this file.
 """
 
+import collections
+import random
+
 import pytest
 
 from repro.api import compile_loop
@@ -31,6 +34,7 @@ from repro.lifetimes import (
     variant_lifetimes,
     variant_lifetimes_reference,
 )
+from repro.lifetimes.allocator import _try_allocate, _try_allocate_reference
 from repro.lifetimes.lifetime import Lifetime
 from repro.lifetimes.maxlive import distance_component_floor, live_instances
 from repro.machine.machine import p2l4
@@ -198,6 +202,27 @@ class TestLifetimeParity:
             assert floor == oracle, name
 
 
+def _has_zero_gap_tie(ordered, placement, ii, registers):
+    """Whether some value, when placed, had two or more feasible slots
+    right behind an occupied cell (replaying *placement* on the circle)."""
+    circumference = ii * registers
+    occupied = set()
+    tie = False
+    for lifetime in ordered:
+        zero_gap = 0
+        for slot in range(registers):
+            start = lifetime.start + slot * ii
+            arc = {(start + c) % circumference for c in range(lifetime.length)}
+            if not arc & occupied and (start - 1) % circumference in occupied:
+                zero_gap += 1
+        tie |= zero_gap > 1
+        start = lifetime.start + placement[lifetime.value] * ii
+        occupied |= {
+            (start + c) % circumference for c in range(lifetime.length)
+        }
+    return tie
+
+
 class TestAllocatorParity:
     def test_placements_identical(self, workloads):
         for name, schedule in _schedules(workloads):
@@ -240,6 +265,72 @@ class TestAllocatorParity:
             slow += after.delta(middle).alloc_probes
         assert fast > 0 and slow > 0
         assert fast * 3 <= slow, (fast, slow)
+
+    def test_try_allocate_matches_reference_on_random_circles(self):
+        """One placement pass, both paths, on seeded random circles: the
+        same placement or the same ``None`` every time."""
+        rng = random.Random(1992)
+        seen = collections.Counter()
+        for _ in range(3000):
+            ii = rng.randint(1, 6)
+            registers = rng.randint(1, 8)
+            circumference = ii * registers
+            lifetimes = []
+            for index in range(rng.randint(1, 8)):
+                start = rng.randrange(0, 3 * circumference)
+                if rng.random() < 0.2:
+                    start -= start % circumference
+                # short arcs leave room for ties; long ones overflow
+                length = rng.randint(1, ii) if rng.random() < 0.5 else min(
+                    rng.randint(1, circumference + 1),
+                    rng.randint(1, circumference + 1),
+                )
+                seen["start % C == 0"] += start % circumference == 0
+                seen["wraps"] += start % circumference + length > circumference
+                seen["length == C"] += length == circumference
+                lifetimes.append(
+                    Lifetime(f"v{index}", start, length, 0, ())
+                )
+            ordered = list(range(len(lifetimes)))
+            rng.shuffle(ordered)
+            fast = _try_allocate(
+                ordered,
+                [lt.value for lt in lifetimes],
+                [lt.start for lt in lifetimes],
+                [lt.length for lt in lifetimes],
+                ii,
+                registers,
+            )
+            slow = _try_allocate_reference(
+                [lifetimes[j] for j in ordered], ii, registers
+            )
+            assert fast == slow, (ii, registers, lifetimes, ordered)
+            seen["both None"] += fast is None
+            seen["zero-gap tie"] += fast is not None and _has_zero_gap_tie(
+                [lifetimes[j] for j in ordered], fast, ii, registers
+            )
+        assert all(
+            seen[case] > 0
+            for case in (
+                "start % C == 0", "wraps", "length == C", "both None",
+                "zero-gap tie",
+            )
+        ), seen
+
+    def test_zero_gap_tie_goes_to_first_slot_in_order(self):
+        """v2's slots both sit right behind an occupied cell; slot 0
+        (position 3) comes first in slot order although slot 1's position
+        1 is the lower cell."""
+        lifetimes = [
+            Lifetime("v0", 4, 1, 0, ()),
+            Lifetime("v1", 0, 1, 0, ()),
+            Lifetime("v2", 3, 1, 0, ()),
+        ]
+        expected = {"v0": 0, "v1": 1, "v2": 0}
+        assert _try_allocate_reference(lifetimes, 2, 2) == expected
+        assert _try_allocate(
+            [0, 1, 2], ["v0", "v1", "v2"], [4, 0, 3], [1, 1, 1], 2, 2
+        ) == expected
 
 
 class TestStrategyParity:
