@@ -1,49 +1,44 @@
-"""Memoization of MII and schedule results.
+"""Memoization of MII, schedules, spill runs and register reports.
 
 The evaluation sweeps the same loops across machine configurations,
 register budgets and heuristic variants, and the spilling driver needs
-the MII of the (mutating) working graph on every round.  Both are pure
-functions of graph content, so this module caches them:
+the MII of the (mutating) working graph on every round.  All of these
+are pure functions of content, so this module caches them.  Keys start
+from content hashes: :func:`ddg_fingerprint` (the graph *name* is
+excluded, so equal graphs share entries; cached per ``ddg.revision``),
+:func:`machine_key` and :func:`scheduler_key`.
 
-* **fingerprint** — a content hash of a :class:`~repro.graph.ddg.DDG`
-  (nodes, edges, invariants, live-outs; the graph *name* is excluded so
-  equal graphs share cache entries).  The hash itself is cached on the
-  instance and recomputed only when ``ddg.revision`` changed.
-* **MII cache** — ``(fingerprint, machine)`` → MII.  Combined with the
-  revision-guarded fingerprint this makes MII computation happen at most
-  once per graph mutation, however many times a round asks for it.
-* **schedule memo** — ``(fingerprint, machine, scheduler, min_ii,
-  max_ii)`` → the scheduled result.  Failed searches are cached too and
-  re-raise the original :class:`~repro.sched.base.ScheduleError`.  A hit
-  may return a :class:`~repro.sched.schedule.Schedule` built on a
-  *different* (content-identical) DDG instance; entries are revalidated
-  against the stored graph's current fingerprint, so a mutated graph can
-  never leak a stale schedule.
-* **driver memo** — ``(fingerprint, machine, scheduler, budget,
-  options)`` → a whole spilling-driver run.  ``fig9`` and the combined
-  method run the identical spilling driver back to back; the second run
-  is a copy-out instead of a recomputation.
-* **allocation memo** — ``(schedule fingerprint, machine, exact)`` →
-  the lifetime/MaxLive/allocation measurement
-  (:class:`~repro.lifetimes.requirements.RegisterReport`).  The spill
-  and II-increase drivers re-measure the same schedule content across
-  II restarts and register budgets; a report is a pure function of
-  (schedule, machine), so restarts stop recomputing unchanged analyses.
+One :class:`Memo` class does the caching, one instance per store
+namespace:
 
-The in-process memos are per-process, but every memo miss reads through
-(and every computation writes through) the optional **persistent
-store** of :mod:`repro.sched.store` — a disk directory shared by every
-process pointed at it, so engine workers and repeated sweeps reuse each
-other's schedules.  :func:`disabled` bypasses everything, memos and
-store alike — the benchmark harness uses that to time the uncached seed
-behaviour.
+* ``mii`` — ``(fingerprint, machine)`` → MII, so MII is computed at
+  most once per graph mutation however many times a round asks.
+* ``schedule`` (:class:`ScheduleMemo`) — ``(fingerprint, machine,
+  scheduler, min_ii, max_ii)`` or ``(..., "at", ii)`` → a search or
+  single-II attempt.  Failed searches re-raise their
+  :class:`~repro.sched.base.ScheduleError`.  In-memory entries are
+  revalidated against their graph's current fingerprint, so a mutated
+  graph can never leak a stale schedule.
+* ``spill`` (:class:`DriverMemo`) — ``(fingerprint, machine, scheduler,
+  budget, options)`` → a whole spilling-driver run, copied out on every
+  hit: ``fig9`` and the combined method run that driver back to back.
+* ``alloc`` (:class:`AllocMemo`) — ``(schedule fingerprint, machine,
+  exact)`` → the :class:`~repro.lifetimes.requirements.RegisterReport`
+  the drivers re-measure across II restarts and register budgets.
+
+Memory is per process; every miss reads through (and every computation
+writes through) the optional **persistent store** of
+:mod:`repro.sched.store`, a directory shared by every process pointed
+at it.  :func:`disabled` bypasses memos and store alike — the benchmark
+harness uses that to time the uncached seed behaviour.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 
 from repro.graph import index as _graph_index
 from repro.graph.ddg import DDG
@@ -59,16 +54,12 @@ _MAX_ENTRIES = 4096
 class CacheStats:
     """Hit/miss accounting, reported by the experiment engine.
 
+    ``<namespace>_hits``/``_misses`` count :meth:`Memo.get` lookups;
+    ``alloc_hits`` also counts hits of the schedule-instance memo in
+    :func:`repro.lifetimes.requirements.register_requirements`.
     ``store_hits``/``store_misses`` count *disk* lookups against the
     persistent :mod:`repro.sched.store` layer; they only move when a
-    store is active, and only on in-memory memo misses (an in-memory hit
-    never consults the disk).
-
-    ``alloc_hits``/``alloc_misses`` count the lifetime/allocation memo
-    of :func:`repro.lifetimes.requirements.register_requirements`: a hit
-    is served from the schedule-instance memo, the process-wide
-    :class:`AllocMemo` or the persistent store; a miss runs the full
-    lifetime analysis + rotating-file allocation.
+    store is active, and only on in-memory memo misses.
     """
 
     mii_hits: int = 0
@@ -84,62 +75,29 @@ class CacheStats:
 
     def snapshot(self) -> "CacheStats":
         """An independent copy of the current counters."""
-        return CacheStats(
-            self.mii_hits, self.mii_misses,
-            self.schedule_hits, self.schedule_misses,
-            self.spill_hits, self.spill_misses,
-            self.alloc_hits, self.alloc_misses,
-            self.store_hits, self.store_misses,
-        )
+        return CacheStats(*_counts(self))
 
     def delta(self, before: "CacheStats") -> "CacheStats":
         """Counter movement since the *before* snapshot."""
-        return CacheStats(
-            self.mii_hits - before.mii_hits,
-            self.mii_misses - before.mii_misses,
-            self.schedule_hits - before.schedule_hits,
-            self.schedule_misses - before.schedule_misses,
-            self.spill_hits - before.spill_hits,
-            self.spill_misses - before.spill_misses,
-            self.alloc_hits - before.alloc_hits,
-            self.alloc_misses - before.alloc_misses,
-            self.store_hits - before.store_hits,
-            self.store_misses - before.store_misses,
-        )
+        return CacheStats(*map(operator.sub, _counts(self), _counts(before)))
 
     def add(self, other: "CacheStats") -> None:
         """Accumulate *other* into this instance (engine aggregation)."""
-        self.mii_hits += other.mii_hits
-        self.mii_misses += other.mii_misses
-        self.schedule_hits += other.schedule_hits
-        self.schedule_misses += other.schedule_misses
-        self.spill_hits += other.spill_hits
-        self.spill_misses += other.spill_misses
-        self.alloc_hits += other.alloc_hits
-        self.alloc_misses += other.alloc_misses
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
+        totals = map(operator.add, _counts(self), _counts(other))
+        for name, total in zip(_COUNTERS, totals):
+            setattr(self, name, total)
 
     def as_dict(self) -> dict:
         """The counters as a plain dict (telemetry output)."""
-        return {
-            "mii_hits": self.mii_hits,
-            "mii_misses": self.mii_misses,
-            "schedule_hits": self.schedule_hits,
-            "schedule_misses": self.schedule_misses,
-            "spill_hits": self.spill_hits,
-            "spill_misses": self.spill_misses,
-            "alloc_hits": self.alloc_hits,
-            "alloc_misses": self.alloc_misses,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-        }
+        return dict(zip(_COUNTERS, _counts(self)))
 
+
+_COUNTERS = tuple(counter.name for counter in fields(CacheStats))
+_counts = operator.attrgetter(*_COUNTERS)
 
 STATS = CacheStats()
 
 _enabled = True
-_mii_cache: dict[tuple[str, str], int] = {}
 
 
 def caching_enabled() -> bool:
@@ -151,30 +109,7 @@ def caching_enabled() -> bool:
 def _persistent_store():
     """The active :class:`repro.sched.store.ScheduleStore`, or ``None``
     (no store configured, or caching disabled)."""
-    if not _enabled:
-        return None
-    return _store_mod.active_store()
-
-
-def _store_get(namespace: str, key: tuple):
-    """Read-through lookup against the persistent store; counts a
-    store hit/miss only when a store is active."""
-    store = _persistent_store()
-    if store is None:
-        return None
-    value = store.get(namespace, key)
-    if value is None:
-        STATS.store_misses += 1
-    else:
-        STATS.store_hits += 1
-    return value
-
-
-def _store_put(namespace: str, key: tuple, value) -> None:
-    """Write-through to the persistent store, if one is active."""
-    store = _persistent_store()
-    if store is not None:
-        store.put(namespace, key, value)
+    return _store_mod.active_store() if _enabled else None
 
 
 @contextlib.contextmanager
@@ -199,16 +134,74 @@ def clear() -> None:
     """Drop all *in-memory* entries and reset the hit/miss counters.
     The persistent store (if any) keeps its files — use
     :meth:`repro.sched.store.ScheduleStore.clear` for that."""
-    _mii_cache.clear()
-    _SCHEDULE_MEMO.clear()
-    _SPILL_MEMO.clear()
-    _ALLOC_MEMO.clear()
+    for memo in _MEMOS:
+        memo.clear()
     _graph_index.clear_cache()
-    STATS.mii_hits = STATS.mii_misses = 0
-    STATS.schedule_hits = STATS.schedule_misses = 0
-    STATS.spill_hits = STATS.spill_misses = 0
-    STATS.alloc_hits = STATS.alloc_misses = 0
-    STATS.store_hits = STATS.store_misses = 0
+    for name in _COUNTERS:
+        setattr(STATS, name, 0)
+
+
+# ----------------------------------------------------------------------
+# the memo
+class Memo:
+    """A bounded in-process memo over one persistent-store namespace.
+
+    :meth:`get` checks memory, reads through the active store on a miss
+    and installs what it finds there; :meth:`put` installs in memory and
+    writes through to the store.  Memory holds at most
+    :data:`_MAX_ENTRIES` entries and evicts the oldest first.  Every
+    :meth:`get` counts ``STATS.<namespace>_hits`` or ``_misses`` once.
+
+    A store value that is not a *kind* reads as a miss, and an in-memory
+    entry :meth:`_fresh` rejects is looked up in the store again.
+    ``None`` is never a value: it means absent.
+    """
+
+    def __init__(self, namespace: str, kind: type = object):
+        self.namespace = namespace
+        self._kind = kind
+        self._hits = f"{namespace}_hits"
+        self._misses = f"{namespace}_misses"
+        self._entries: dict[tuple, object] = {}
+
+    def clear(self) -> None:
+        """Drop every in-memory entry (persistent-store files stay)."""
+        self._entries.clear()
+
+    def _fresh(self, key: tuple, value) -> bool:
+        """Whether an in-memory *value* may still be served."""
+        return True
+
+    def get(self, key: tuple):
+        """The value for *key*, or None (counted as a miss)."""
+        value = self._entries.get(key)
+        if value is None or not self._fresh(key, value):
+            value = None
+            store = _persistent_store()
+            if store is not None:
+                value = store.get(self.namespace, key)
+                if value is None:
+                    STATS.store_misses += 1
+                else:
+                    STATS.store_hits += 1
+            if value is None or not isinstance(value, self._kind):
+                setattr(STATS, self._misses, getattr(STATS, self._misses) + 1)
+                return None
+            self._install(key, value)
+        setattr(STATS, self._hits, getattr(STATS, self._hits) + 1)
+        return value
+
+    def put(self, key: tuple, value) -> None:
+        """Record a freshly computed *value* in memory and in the store."""
+        self._install(key, value)
+        store = _persistent_store()
+        if store is not None:
+            store.put(self.namespace, key, value)
+
+    def _install(self, key: tuple, value) -> None:
+        if len(self._entries) >= _MAX_ENTRIES:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = value
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +351,9 @@ def owned_schedule(schedule):
 
 # ----------------------------------------------------------------------
 # MII
+_MII_MEMO = Memo("mii", kind=int)
+
+
 def cached_mii(ddg: DDG, machine: MachineConfig) -> int:
     """``compute_mii`` memoized on ``(graph content, machine)``, read
     through the persistent store when one is active."""
@@ -365,22 +361,11 @@ def cached_mii(ddg: DDG, machine: MachineConfig) -> int:
         with phase("mii"):
             return compute_mii(ddg, machine)
     key = (ddg_fingerprint(ddg), machine_key(machine))
-    hit = _mii_cache.get(key)
-    if hit is not None:
-        STATS.mii_hits += 1
-        return hit
-    stored = _store_get("mii", key)
-    if isinstance(stored, int):
-        STATS.mii_hits += 1
-        mii = stored
-    else:
-        STATS.mii_misses += 1
+    mii = _MII_MEMO.get(key)
+    if mii is None:
         with phase("mii"):
             mii = compute_mii(ddg, machine)
-        _store_put("mii", key, mii)
-    if len(_mii_cache) >= _MAX_ENTRIES:
-        _mii_cache.pop(next(iter(_mii_cache)))
-    _mii_cache[key] = mii
+        _MII_MEMO.put(key, mii)
     return mii
 
 
@@ -394,18 +379,18 @@ class _MemoEntry:
     error: str | None        # ScheduleError message on failure
 
 
-class ScheduleMemo:
-    """Memo for full II searches (``ModuloScheduler.schedule``)."""
+class ScheduleMemo(Memo):
+    """Memo for II searches (``ModuloScheduler.schedule``) and single-II
+    attempts (``try_schedule_at``) in the ``schedule`` namespace."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, _MemoEntry] = {}
-        #: This memo's own accounting; the module-wide :data:`STATS`
-        #: totals are updated as well.
-        self.stats = CacheStats()
+        super().__init__("schedule", kind=_MemoEntry)
 
-    def clear(self) -> None:
-        """Drop every in-memory entry (persistent-store files stay)."""
-        self._entries.clear()
+    def _fresh(self, key: tuple, entry: _MemoEntry) -> bool:
+        """Whether an in-memory entry's graph still has the content
+        *key* names.  Store entries skip this: they are freshly
+        unpickled objects no caller has ever held."""
+        return ddg_fingerprint(entry.ddg) == key[0]
 
     def schedule(
         self,
@@ -415,52 +400,16 @@ class ScheduleMemo:
         min_ii: int | None = None,
         max_ii: int | None = None,
     ):
-        """Like ``scheduler.schedule(...)`` but memoized.  On a hit the
-        returned schedule may be built on a different, content-identical
-        DDG instance."""
-        from repro.sched.base import ScheduleError
-
-        if not _enabled:
-            with phase("schedule"):
-                return scheduler.schedule(
-                    ddg, machine, min_ii=min_ii, max_ii=max_ii
-                )
-        key = (
-            ddg_fingerprint(ddg),
-            machine_key(machine),
-            scheduler_key(scheduler),
-            min_ii,
-            max_ii,
+        """Like ``scheduler.schedule(...)`` but memoized; failed searches
+        re-raise their :class:`~repro.sched.base.ScheduleError`.  On a
+        hit the returned schedule may be built on a different,
+        content-identical DDG instance."""
+        return self._lookup(
+            scheduler, ddg, machine, (min_ii, max_ii),
+            lambda: scheduler.schedule(
+                ddg, machine, min_ii=min_ii, max_ii=max_ii
+            ),
         )
-        entry = self._entries.get(key)
-        if entry is not None and ddg_fingerprint(entry.ddg) == key[0]:
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
-            if entry.error is not None:
-                raise ScheduleError(entry.error)
-            return entry.schedule
-        stored = _store_get("schedule", key)
-        if isinstance(stored, _MemoEntry):
-            # A disk entry is a fresh unpickled object: its graph cannot
-            # have been mutated by anyone, so no revalidation is needed.
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
-            self._remember(key, stored, persist=False)
-            if stored.error is not None:
-                raise ScheduleError(stored.error)
-            return stored.schedule
-        self.stats.schedule_misses += 1
-        STATS.schedule_misses += 1
-        try:
-            with phase("schedule"):
-                schedule = scheduler.schedule(
-                    ddg, machine, min_ii=min_ii, max_ii=max_ii
-                )
-        except ScheduleError as error:
-            self._remember(key, _MemoEntry(ddg, key[0], None, str(error)))
-            raise
-        self._remember(key, _MemoEntry(ddg, key[0], schedule, None))
-        return schedule
 
     def try_at(
         self,
@@ -474,44 +423,43 @@ class ScheduleMemo:
         and the combined method's binary search probe the same
         ``(graph, machine, II)`` points for every register budget — the
         attempt outcome does not depend on the budget, so they share."""
+        return self._lookup(
+            scheduler, ddg, machine, ("at", ii),
+            lambda: scheduler.try_schedule_at(ddg, machine, ii),
+        )
+
+    def _lookup(self, scheduler, ddg: DDG, machine: MachineConfig,
+                tail: tuple, compute):
         if not _enabled:
             with phase("schedule"):
-                return scheduler.try_schedule_at(ddg, machine, ii)
+                return compute()
         key = (
             ddg_fingerprint(ddg),
             machine_key(machine),
             scheduler_key(scheduler),
-            "at",
-            ii,
+            *tail,
         )
-        entry = self._entries.get(key)
-        if entry is not None and ddg_fingerprint(entry.ddg) == key[0]:
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
-            return entry.schedule
-        stored = _store_get("schedule", key)
-        if isinstance(stored, _MemoEntry):
-            self.stats.schedule_hits += 1
-            STATS.schedule_hits += 1
-            self._remember(key, stored, persist=False)
-            return stored.schedule
-        self.stats.schedule_misses += 1
-        STATS.schedule_misses += 1
-        with phase("schedule"):
-            schedule = scheduler.try_schedule_at(ddg, machine, ii)
-        self._remember(key, _MemoEntry(ddg, key[0], schedule, None))
-        return schedule
+        entry = self.get(key)
+        if entry is None:
+            # Imported off the hit path: repro.sched.base imports this
+            # module, and an import statement costs on every call.
+            from repro.sched.base import ScheduleError
 
-    def _remember(
-        self, key: tuple, entry: _MemoEntry, persist: bool = True
-    ) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = entry
-        if persist:
+            try:
+                with phase("schedule"):
+                    schedule = compute()
+            except ScheduleError as error:
+                self.put(key, _MemoEntry(ddg, key[0], None, str(error)))
+                raise
             # Pickling snapshots the graph/schedule content as of now —
             # later caller-side mutation cannot reach the disk entry.
-            _store_put("schedule", key, entry)
+            self.put(key, _MemoEntry(ddg, key[0], schedule, None))
+            return schedule
+        if entry.error is not None:
+            from repro.sched.base import ScheduleError
+
+            raise ScheduleError(entry.error)
+        return entry.schedule
 
 
 _SCHEDULE_MEMO = ScheduleMemo()
@@ -524,8 +472,8 @@ def schedule_memo() -> ScheduleMemo:
 
 # ----------------------------------------------------------------------
 # driver runs (whole spilling-driver outcomes)
-class DriverMemo:
-    """Memo for whole driver runs, keyed like the schedule memo.
+class DriverMemo(Memo):
+    """Memo for whole driver runs in the ``spill`` namespace.
 
     The combined method re-runs the identical spilling driver the plain
     ``fig9`` cell just ran; memoizing at the driver level removes that
@@ -541,39 +489,13 @@ class DriverMemo:
     (one written by a driver with another result type) reads as a miss.
     """
 
-    def __init__(self) -> None:
-        self._entries: dict[tuple, object] = {}
-
-    def clear(self) -> None:
-        """Drop every in-memory entry (persistent-store files stay)."""
-        self._entries.clear()
-
     def get(self, key: tuple, copy):
-        """The memoized run for *key* (copied via *copy*), or None.
-        In-memory misses read through the persistent store."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = _store_get("spill", key)
-            if entry is None:
-                return None
-            self._install(key, entry)
-        STATS.spill_hits += 1
-        return copy(entry)
-
-    def put(self, key: tuple, value) -> None:
-        """Record a freshly computed run (a private copy the caller can
-        never reach) in memory and in the persistent store."""
-        STATS.spill_misses += 1
-        self._install(key, value)
-        _store_put("spill", key, value)
-
-    def _install(self, key: tuple, value) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = value
+        """The memoized run for *key* (copied via *copy*), or None."""
+        entry = super().get(key)
+        return None if entry is None else copy(entry)
 
 
-_SPILL_MEMO = DriverMemo()
+_SPILL_MEMO = DriverMemo("spill")
 
 
 def spill_memo() -> DriverMemo:
@@ -583,52 +505,25 @@ def spill_memo() -> DriverMemo:
 
 # ----------------------------------------------------------------------
 # register-requirement measurements (lifetimes + MaxLive + allocation)
-class AllocMemo:
+class AllocMemo(Memo):
     """Memo for :class:`~repro.lifetimes.requirements.RegisterReport`
-    measurements, keyed by ``(schedule fingerprint, machine, exact)``.
+    measurements in the ``alloc`` namespace, keyed by ``(schedule
+    fingerprint, machine, exact)``.
 
     The spilling and II-increase drivers re-measure the same schedules
     across II restarts, register budgets and back-to-back strategies
     (``combined`` after ``fig9``); a report is a pure function of
     schedule content, so the measurement is shared process-wide and —
-    through the ``"alloc"`` store namespace — across processes.  Reports
-    are frozen dataclasses: hits hand out the entry itself, no copy."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, object] = {}
-
-    def clear(self) -> None:
-        """Drop every in-memory entry (persistent-store files stay)."""
-        self._entries.clear()
-
-    def get(self, key: tuple):
-        """The memoized report for *key*, or None (counted as a miss).
-        In-memory misses read through the persistent store."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = _store_get("alloc", key)
-            if entry is None:
-                STATS.alloc_misses += 1
-                return None
-            self._install(key, entry)
-        STATS.alloc_hits += 1
-        return entry
-
-    def put(self, key: tuple, report) -> None:
-        """Record a freshly measured report in memory and in the
-        persistent store."""
-        self._install(key, report)
-        _store_put("alloc", key, report)
-
-    def _install(self, key: tuple, value) -> None:
-        if len(self._entries) >= _MAX_ENTRIES:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = value
+    through the store — across processes.  Reports are frozen
+    dataclasses: hits hand out the entry itself, no copy."""
 
 
-_ALLOC_MEMO = AllocMemo()
+_ALLOC_MEMO = AllocMemo("alloc")
 
 
 def alloc_memo() -> AllocMemo:
     """The process-wide register-requirement memo (one per worker)."""
     return _ALLOC_MEMO
+
+
+_MEMOS = (_MII_MEMO, _SCHEDULE_MEMO, _SPILL_MEMO, _ALLOC_MEMO)

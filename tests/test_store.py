@@ -3,6 +3,7 @@ entry format, corruption tolerance, versioning, cross-process atomicity,
 the memo read-through/write-through wiring, and warm-store determinism
 of the sweep."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -14,11 +15,19 @@ from repro.machine.specs import resolve_machine
 from repro.sched import cache as sched_cache
 from repro.sched import store as sched_store
 from repro.sched.base import ScheduleError
+from repro.sched.cache import CacheStats
 from repro.sched.hrms import HRMSScheduler
 from repro.sched.store import STORE_VERSION, ScheduleStore
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"
 KEY = ("fingerprint", "machine", "scheduler", 3, None)
+NAMESPACES = ("mii", "schedule", "spill", "alloc")
+
+
+def _memo(namespace):
+    """The process-wide memo of a store namespace."""
+    (memo,) = [m for m in sched_cache._MEMOS if m.namespace == namespace]
+    return memo
 
 
 @pytest.fixture(autouse=True)
@@ -322,6 +331,129 @@ class TestMemoReadThrough:
             assert len(store.entries()) == 1
         finally:
             sched_store.configure(None)
+
+
+    # -- every namespace, through its Memo ----------------------------
+    def _seeded(self, namespace, store_dir):
+        """A real key of *namespace*, computed by one spilling-driver run
+        (which fills all four memos) with a store at *store_dir*."""
+        from repro.core.driver import schedule_with_spilling
+
+        ddg, machine = self._context()
+        with sched_store.using(store_dir):
+            schedule_with_spilling(ddg, machine, 6)
+        memo = _memo(namespace)
+        return memo, next(iter(memo._entries))
+
+    def _lookup_delta(self, memo, key):
+        before = sched_cache.STATS.snapshot()
+        if isinstance(memo, sched_cache.DriverMemo):
+            value = memo.get(key, lambda entry: entry)
+        else:
+            value = memo.get(key)
+        return value, sched_cache.STATS.delta(before)
+
+    @pytest.mark.parametrize("namespace", NAMESPACES)
+    def test_memory_hit_counts_once(self, namespace, tmp_path):
+        memo, key = self._seeded(namespace, tmp_path)
+        with sched_store.using(tmp_path):
+            value, delta = self._lookup_delta(memo, key)
+        assert value is not None
+        assert delta == CacheStats(**{f"{namespace}_hits": 1})
+
+    @pytest.mark.parametrize("namespace", NAMESPACES)
+    def test_store_hit_counts_once(self, namespace, tmp_path):
+        memo, key = self._seeded(namespace, tmp_path)
+        sched_cache.clear()
+        with sched_store.using(tmp_path):
+            value, delta = self._lookup_delta(memo, key)
+        assert value is not None
+        assert key in memo._entries  # the store hit was installed
+        assert delta == CacheStats(**{f"{namespace}_hits": 1, "store_hits": 1})
+
+    @pytest.mark.parametrize("namespace", NAMESPACES)
+    def test_cold_miss_counts_once(self, namespace, tmp_path):
+        memo, key = self._seeded(namespace, tmp_path / "seeded")
+        sched_cache.clear()
+        with sched_store.using(tmp_path / "empty"):
+            value, delta = self._lookup_delta(memo, key)
+        assert value is None
+        assert delta == CacheStats(
+            **{f"{namespace}_misses": 1, "store_misses": 1}
+        )
+
+    # -- store values of the wrong type ---------------------------------
+    def test_wrong_type_mii_entry_reads_as_miss(self, tmp_path):
+        ddg, machine = self._context()
+        with sched_cache.disabled():
+            expected = sched_cache.cached_mii(ddg, machine)
+        key = (sched_cache.ddg_fingerprint(ddg),
+               sched_cache.machine_key(machine))
+        with sched_store.using(tmp_path) as store:
+            assert store.put("mii", key, "not an MII")
+            mii = sched_cache.cached_mii(ddg, machine)
+            assert store.get("mii", key) == expected  # rewritten
+        assert mii == expected
+        assert (sched_cache.STATS.mii_hits, sched_cache.STATS.mii_misses) == (
+            0, 1
+        )
+
+    def test_wrong_type_schedule_entry_reads_as_miss(self, tmp_path):
+        ddg, machine = self._context()
+        scheduler = HRMSScheduler()
+        with sched_cache.disabled():
+            expected = scheduler.schedule(ddg, machine)
+        key = (sched_cache.ddg_fingerprint(ddg),
+               sched_cache.machine_key(machine),
+               sched_cache.scheduler_key(scheduler), None, None)
+        with sched_store.using(tmp_path) as store:
+            assert store.put("schedule", key, "not a schedule")
+            schedule = sched_cache.schedule_memo().schedule(
+                scheduler, ddg, machine
+            )
+        assert (schedule.ii, schedule.times) == (expected.ii, expected.times)
+        assert sched_cache.STATS.schedule_hits == 0
+        assert sched_cache.STATS.schedule_misses == 1
+
+
+# ----------------------------------------------------------------------
+class TestMemoBookkeeping:
+    def test_clear_zeroes_every_counter_and_empties_every_memo(self):
+        from repro.core.driver import schedule_with_spilling
+
+        schedule_with_spilling(
+            ddg_from_source(FIG2, name="fig2"), resolve_machine("P2L4"), 6
+        )
+        for number, counter in enumerate(dataclasses.fields(CacheStats)):
+            setattr(sched_cache.STATS, counter.name, number + 1)
+        memos = [_memo(namespace) for namespace in NAMESPACES]
+        assert memos[2] is sched_cache.spill_memo()
+        assert memos[3] is sched_cache.alloc_memo()
+        assert all(memo._entries for memo in memos)
+        sched_cache.clear()
+        assert sched_cache.STATS == CacheStats()
+        for counter in dataclasses.fields(CacheStats):
+            assert getattr(sched_cache.STATS, counter.name) == 0
+        assert not any(memo._entries for memo in memos)
+
+    def test_stats_arithmetic_covers_every_field(self):
+        names = [counter.name for counter in dataclasses.fields(CacheStats)]
+        one = CacheStats(*range(1, len(names) + 1))
+        two = CacheStats(*range(10, 10 * len(names) + 1, 10))
+        copy = one.snapshot()
+        assert copy == one and copy is not one
+        delta = two.delta(one)
+        total = one.snapshot()
+        total.add(two)
+        assert list(one.as_dict()) == names
+        for name in names:
+            assert getattr(delta, name) == getattr(two, name) - getattr(
+                one, name
+            )
+            assert getattr(total, name) == getattr(one, name) + getattr(
+                two, name
+            )
+            assert one.as_dict()[name] == getattr(one, name)
 
 
 # ----------------------------------------------------------------------
