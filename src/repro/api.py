@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import threading
 import time
 from dataclasses import dataclass, field, replace as _dc_replace
 
@@ -408,18 +409,23 @@ class Pipeline:
         self.cache = sched_store.resolve_store(cache)
         self.verify = verify
         self._ddg_cache: dict[tuple[str, str], DDG] = {}
+        self._ddg_lock = threading.Lock()
 
     def ddg(self, source_or_ddg: str | DDG, name: str = "loop") -> DDG:
-        """The pipeline's parsed view of a loop (cached per source)."""
+        """The pipeline's parsed view of a loop (cached per source).
+        Safe to call from several threads (``ClusterClient`` fans out
+        over a thread pool): parsing runs unlocked, eviction and
+        insertion under :attr:`_ddg_lock`."""
         if isinstance(source_or_ddg, DDG):
             return source_or_ddg
         key = (name, source_or_ddg)
         cached = self._ddg_cache.get(key)
         if cached is None:
-            if len(self._ddg_cache) >= 512:
-                self._ddg_cache.pop(next(iter(self._ddg_cache)))
             cached = _as_ddg(source_or_ddg, name)
-            self._ddg_cache[key] = cached
+            with self._ddg_lock:
+                if len(self._ddg_cache) >= 512:
+                    self._ddg_cache.pop(next(iter(self._ddg_cache)))
+                self._ddg_cache[key] = cached
         return cached
 
     def compile(

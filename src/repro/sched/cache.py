@@ -25,6 +25,10 @@ namespace:
 * ``alloc`` (:class:`AllocMemo`) — ``(schedule fingerprint, machine,
   exact)`` → the :class:`~repro.lifetimes.requirements.RegisterReport`
   the drivers re-measure across II restarts and register budgets.
+* ``response`` (a :class:`DriverMemo`) — ``(loop name,
+  *compile_request_key, verify)`` → a service-shaped
+  :class:`~repro.api.CompilationResult`, so the compile service answers
+  a repeated request without queueing it.
 
 Memory is per process; every miss reads through (and every computation
 writes through) the optional **persistent store** of
@@ -70,6 +74,8 @@ class CacheStats:
     spill_misses: int = 0
     alloc_hits: int = 0
     alloc_misses: int = 0
+    response_hits: int = 0
+    response_misses: int = 0
     store_hits: int = 0
     store_misses: int = 0
 
@@ -106,10 +112,12 @@ def caching_enabled() -> bool:
     return _enabled
 
 
-def _persistent_store():
-    """The active :class:`repro.sched.store.ScheduleStore`, or ``None``
-    (no store configured, or caching disabled)."""
-    return _store_mod.active_store() if _enabled else None
+def _persistent_store(store=None):
+    """*store*, else the active :class:`repro.sched.store.ScheduleStore`;
+    ``None`` when there is neither or caching is disabled."""
+    if not _enabled:
+        return None
+    return store if store is not None else _store_mod.active_store()
 
 
 @contextlib.contextmanager
@@ -155,6 +163,11 @@ class Memo:
     A store value that is not a *kind* reads as a miss, and an in-memory
     entry :meth:`_fresh` rejects is looked up in the store again.
     ``None`` is never a value: it means absent.
+
+    Both methods take an optional *store* that replaces the active one
+    for this call: the compile service reads through its pipeline's
+    store from transport threads, where swapping the process-wide
+    active store would race the dispatcher.
     """
 
     def __init__(self, namespace: str, kind: type = object):
@@ -172,12 +185,12 @@ class Memo:
         """Whether an in-memory *value* may still be served."""
         return True
 
-    def get(self, key: tuple):
+    def get(self, key: tuple, store=None):
         """The value for *key*, or None (counted as a miss)."""
         value = self._entries.get(key)
         if value is None or not self._fresh(key, value):
             value = None
-            store = _persistent_store()
+            store = _persistent_store(store)
             if store is not None:
                 value = store.get(self.namespace, key)
                 if value is None:
@@ -191,10 +204,10 @@ class Memo:
         setattr(STATS, self._hits, getattr(STATS, self._hits) + 1)
         return value
 
-    def put(self, key: tuple, value) -> None:
+    def put(self, key: tuple, value, store=None) -> None:
         """Record a freshly computed *value* in memory and in the store."""
         self._install(key, value)
-        store = _persistent_store()
+        store = _persistent_store(store)
         if store is not None:
             store.put(self.namespace, key, value)
 
@@ -473,25 +486,27 @@ def schedule_memo() -> ScheduleMemo:
 # ----------------------------------------------------------------------
 # driver runs (whole spilling-driver outcomes)
 class DriverMemo(Memo):
-    """Memo for whole driver runs in the ``spill`` namespace.
+    """Copy-out memo for whole driver runs (the ``spill`` namespace) and
+    whole served responses (the ``response`` namespace).
 
     The combined method re-runs the identical spilling driver the plain
     ``fig9`` cell just ran; memoizing at the driver level removes that
     back-to-back recomputation.  Unlike :class:`ScheduleMemo`, entries
-    here are *privately owned copies* stored by the driver (callers can
-    never mutate them), and keys start with the input graph's content
+    here are *privately owned copies* stored by the caller (callers can
+    never mutate them), and keys hold the input graph's content
     fingerprint — so entries cannot go stale and need no revalidation.
 
     The stored value is the spilling driver's
-    :class:`~repro.core.registry.StrategyOutcome`; the driver supplies a
-    ``copy`` callable when reading so every hit hands out a fresh,
-    caller-owned outcome.  An entry the persistent store cannot unpickle
+    :class:`~repro.core.registry.StrategyOutcome` or the compile
+    service's :class:`~repro.api.CompilationResult`; the caller supplies
+    a ``copy`` callable when reading so every hit hands out a fresh,
+    caller-owned value.  An entry the persistent store cannot unpickle
     (one written by a driver with another result type) reads as a miss.
     """
 
-    def get(self, key: tuple, copy):
-        """The memoized run for *key* (copied via *copy*), or None."""
-        entry = super().get(key)
+    def get(self, key: tuple, copy, store=None):
+        """The memoized value for *key* (copied via *copy*), or None."""
+        entry = super().get(key, store)
         return None if entry is None else copy(entry)
 
 
@@ -501,6 +516,17 @@ _SPILL_MEMO = DriverMemo("spill")
 def spill_memo() -> DriverMemo:
     """The process-wide spilling-driver memo (one per engine worker)."""
     return _SPILL_MEMO
+
+
+_RESPONSE_MEMO = DriverMemo("response")
+
+
+def response_memo() -> DriverMemo:
+    """The process-wide served-response memo, filled and read by
+    :class:`repro.server.service.CompileService` (never by
+    :class:`repro.api.Pipeline`, which stays the un-memoized reference
+    served documents are compared against)."""
+    return _RESPONSE_MEMO
 
 
 # ----------------------------------------------------------------------
@@ -526,4 +552,6 @@ def alloc_memo() -> AllocMemo:
     return _ALLOC_MEMO
 
 
-_MEMOS = (_MII_MEMO, _SCHEDULE_MEMO, _SPILL_MEMO, _ALLOC_MEMO)
+_MEMOS = (
+    _MII_MEMO, _SCHEDULE_MEMO, _SPILL_MEMO, _ALLOC_MEMO, _RESPONSE_MEMO,
+)

@@ -7,11 +7,20 @@ pool and one shared :class:`repro.sched.store.ScheduleStore` — for the
 whole daemon lifetime, and turns many concurrent single-request clients
 into the batch shape the pipeline is fastest at:
 
-* **Request queue + batching.**  ``submit()`` enqueues and returns a
-  future; a dispatcher thread drains the queue, waits one short batch
-  window for stragglers, and runs the whole group through
-  :meth:`Pipeline.compile_many` — so eight clients arriving together
-  cost one batch, not eight independent compiles.
+* **Response memo.**  A request the service has answered before is
+  answered again from :func:`repro.sched.cache.response_memo` (keyed
+  by the coalescing key below plus ``Pipeline.verify``) before it
+  queues: ``submit()`` returns an already-completed future holding a
+  caller-owned copy, so a warm request costs one lookup and never
+  waits out the batch window.  Errors and expired deadlines are never
+  stored; inside :func:`repro.sched.cache.disabled` every request
+  recompiles.
+* **Request queue + batching.**  On a memo miss ``submit()`` enqueues
+  and returns a future; a dispatcher thread drains the queue, waits
+  one short batch window for stragglers, and runs the whole group
+  through :meth:`Pipeline.compile_many` — so eight clients arriving
+  together cost one batch, not eight independent compiles.  With
+  ``jobs=1`` the batch compiles the graph ``submit()`` already parsed.
 * **In-flight coalescing.**  Requests are keyed by the same material the
   memo/store layers use (:func:`repro.sched.cache.compile_request_key`:
   DDG fingerprint, machine, scheduler, strategy, budget, options — plus
@@ -26,7 +35,8 @@ into the batch shape the pipeline is fastest at:
   ``Pipeline.compile_many`` result, whatever the batching or coalescing
   did.
 * **Telemetry.**  :meth:`stats` reports service counters (requests,
-  batches, coalesced, errors, routed cell batches), the
+  answered from the memo, batches, coalesced, errors, routed cell
+  batches), the
   :class:`repro.sched.cache.CacheStats` movement and the PR-4
   :data:`repro.graph.index.WORK` counters for the server lifetime,
   the **aggregated worker-process counters** (``workers`` block — with
@@ -45,6 +55,7 @@ into the batch shape the pipeline is fastest at:
 from __future__ import annotations
 
 import contextlib
+import copy
 import threading
 import time
 from collections import deque
@@ -56,11 +67,22 @@ from repro.graph.index import WORK
 from repro.metrics import MetricsRecorder
 from repro.metrics.prom import render_prometheus
 from repro.sched import store as sched_store
-from repro.sched.cache import STATS, CacheStats, compile_request_key
+from repro.sched.cache import (
+    STATS,
+    CacheStats,
+    caching_enabled,
+    compile_request_key,
+    response_memo,
+)
 from repro.trace import context as trace_context
 
 STATS_SCHEMA = "repro.server-stats/2"
 HEALTH_SCHEMA = "repro.server-health/1"
+
+# The response memo is process-wide (every service of the process
+# shares it) and its FIFO eviction is not thread-safe: transport
+# threads read it while dispatcher threads fill it.
+_RESPONSE_LOCK = threading.Lock()
 
 
 class ServiceClosed(RuntimeError):
@@ -87,11 +109,18 @@ class ServiceTimeout(TimeoutError):
 class _Inflight:
     """One queued-or-executing unique request and its shared future."""
 
-    __slots__ = ("future", "request", "deadline", "trace", "enqueued")
+    __slots__ = (
+        "future", "request", "ddg", "deadline", "trace", "enqueued",
+    )
 
-    def __init__(self, request: dict, deadline: float | None = None) -> None:
+    def __init__(
+        self, request: dict, ddg, deadline: float | None = None
+    ) -> None:
         self.future: Future = Future()
         self.request = request
+        # the graph submit() parsed for the key; a jobs=1 batch
+        # compiles it instead of parsing the source again
+        self.ddg = ddg
         self.deadline = deadline
         # the submitting thread's propagated trace context (set under
         # the protocol's server span), if any — queue/batch spans and
@@ -147,9 +176,6 @@ class CompileService:
             self.metrics = MetricsRecorder(db=metrics)
         self.started_at = time.time()
         self._lock = threading.Condition()
-        # pipeline state (the parsed-DDG cache and its eviction) is not
-        # thread-safe; every transport thread parses under this lock
-        self._parse_lock = threading.Lock()
         # engine-cell evaluation mutates process-wide memos; one batch
         # of routed cells runs at a time
         self._cells_lock = threading.Lock()
@@ -163,6 +189,7 @@ class CompileService:
         self._work_base = WORK.snapshot()
         self._worker_counters_last: dict[str, int] = {}
         self.requests_total = 0
+        self.answered_total = 0
         self.coalesced_total = 0
         self.batches_total = 0
         self.compiled_total = 0
@@ -246,14 +273,14 @@ class CompileService:
         self.close()
 
     # ------------------------------------------------------------------
-    def request_key(self, request: dict) -> tuple:
-        """The coalescing identity of *request*: the memo/store key
-        material plus the loop name (equal keys ⇒ byte-identical
-        response documents)."""
-        with self._parse_lock:
-            normalized = self.pipeline.normalize_request(request)
-            ddg = self.pipeline.ddg(normalized["loop"], normalized["name"])
-        return (
+    def _request_key(self, request: dict) -> tuple:
+        """``(key, ddg)``: the coalescing identity of *request* — the
+        memo/store key material plus the loop name (equal keys ⇒
+        byte-identical response documents) — and the graph parsed to
+        compute it."""
+        normalized = self.pipeline.normalize_request(request)
+        ddg = self.pipeline.ddg(normalized["loop"], normalized["name"])
+        key = (
             normalized["name"],
             *compile_request_key(
                 ddg,
@@ -264,6 +291,23 @@ class CompileService:
                 normalized["options"],
             ),
         )
+        return key, ddg
+
+    def _memo_key(self, key: tuple) -> tuple:
+        """The response-memo key: a verifying pipeline's documents
+        differ (``verified``), so it never shares an entry with a plain
+        one."""
+        return (*key, self.pipeline.verify)
+
+    def _answered(self, key: tuple):
+        """A caller-owned copy of the memoized response for *key*, or
+        None (a miss, or caching disabled)."""
+        if not caching_enabled():
+            return None
+        with _RESPONSE_LOCK:
+            return response_memo().get(
+                self._memo_key(key), copy.deepcopy, self.pipeline.cache
+            )
 
     def submit(self, request: dict, deadline_ms: float | None = None) -> Future:
         """Enqueue one compile request mapping; returns a future
@@ -279,10 +323,12 @@ class CompileService:
 
         *deadline_ms* bounds queue wait: a request still queued when
         its deadline expires fails with :class:`ServiceTimeout` instead
-        of occupying a batch slot.
+        of occupying a batch slot.  A request the response memo holds
+        is answered at once: the future it returns is already done.
         """
-        key = self.request_key(request)  # validates; may raise
+        key, ddg = self._request_key(request)  # validates; may raise
         started = time.perf_counter()
+        answer = self._answered(key)
         deadline = (
             time.monotonic() + deadline_ms / 1000.0
             if deadline_ms is not None and deadline_ms > 0
@@ -297,8 +343,11 @@ class CompileService:
                 )
             self.requests_total += 1
             self.metrics.count("requests")
-            entry = self._inflight.get(key)
-            if entry is not None:
+            entry = None if answer is not None else self._inflight.get(key)
+            if answer is not None:
+                self.answered_total += 1
+                self.metrics.count("answered")
+            elif entry is not None:
                 self.coalesced_total += 1
                 self.metrics.count("coalesced")
                 # the joiner's own trace still shows where its request
@@ -324,18 +373,40 @@ class CompileService:
                         f"compile queue full ({self.max_queue} pending); "
                         "request shed"
                     )
-                entry = _Inflight(dict(request), deadline=deadline)
+                entry = _Inflight(dict(request), ddg, deadline=deadline)
                 self._inflight[key] = entry
                 self._queue.append(key)
                 self._lock.notify_all()
+        if answer is not None:
+            future: Future = Future()
+            future.set_result(answer)
+            self._mark_answered(request)
+        else:
+            future = entry.future
         # every submitter observes its own queue-to-result latency,
-        # coalesced or not — that is what a client experienced
-        entry.future.add_done_callback(
+        # answered, coalesced or not — that is what a client experienced
+        future.add_done_callback(
             lambda _future, _started=started: self.metrics.observe(
                 "request", time.perf_counter() - _started
             )
         )
-        return entry.future
+        return future
+
+    @staticmethod
+    def _mark_answered(request: dict) -> None:
+        """A traced memo hit's zero-duration ``service.memo`` marker, so
+        the trace shows where the request went.  The trace arrives
+        either as the active context (transports) or as the request's
+        ``trace`` entry (in-process callers)."""
+        context = trace_context.current()
+        if context is None:
+            context = trace_context.TraceContext.from_wire(
+                request.get("trace")
+            )
+        if context is not None:
+            trace_context.record_span(
+                "service.memo", "service", 0.0, context=context.child()
+            )
 
     def compile(
         self,
@@ -438,6 +509,11 @@ class CompileService:
         started = time.perf_counter()
         requests = []
         for _, entry in batch:
+            request = dict(entry.request)
+            if self.jobs == 1:
+                # in-process compile: reuse the graph submit() parsed
+                # (pool workers keep receiving source text)
+                request["loop"] = entry.ddg
             if entry.trace is not None:
                 self._traced_seen = True
                 # queue wait: enqueue to batch dispatch
@@ -447,11 +523,8 @@ class CompileService:
                     context=entry.trace.child(),
                 )
                 # hand the context to the (possibly pooled) compile
-                request = dict(entry.request)
                 request["trace"] = entry.trace.to_wire()
-                requests.append(request)
-            else:
-                requests.append(entry.request)
+            requests.append(request)
         cache_before = STATS.snapshot()
         try:
             results = self.pipeline.compile_many(requests, jobs=self.jobs)
@@ -464,6 +537,15 @@ class CompileService:
             for _, entry in batch:
                 entry.future.set_exception(error)
             return
+        if caching_enabled():
+            # before the in-flight entries go, so a repeat arriving in
+            # between is answered rather than recompiled
+            with _RESPONSE_LOCK:
+                for (key, _), result in zip(batch, results):
+                    response_memo().put(
+                        self._memo_key(key), copy.deepcopy(result),
+                        self.pipeline.cache,
+                    )
         with self._lock:
             self.batches_total += 1
             self.compiled_total += len(batch)
@@ -600,6 +682,7 @@ class CompileService:
         with self._lock:
             counters = {
                 "requests": self.requests_total,
+                "answered": self.answered_total,
                 "coalesced": self.coalesced_total,
                 "batches": self.batches_total,
                 "compiled": self.compiled_total,

@@ -3,6 +3,8 @@ the scheduler/strategy registries, the centralized machine-spec parser,
 and the spilling-driver memo."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -313,6 +315,39 @@ class TestPipeline:
     def test_unknown_strategy_fails_fast(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             Pipeline(strategy="anneal")
+
+    def test_ddg_cache_evicts_safely_from_many_threads(self):
+        # more distinct sources than the 512-entry parse cache holds,
+        # parsed by several threads at once (ClusterClient.shard_key
+        # does this from its fan-out pool): two threads evicting the
+        # same oldest entry must both succeed
+        pipeline = Pipeline()
+        sources = [f"a{n}[i] = b{n}[i] + c" for n in range(1200)]
+        errors = []
+
+        def parse(offset: int) -> None:
+            try:
+                for step in range(len(sources)):
+                    source = sources[(offset + step) % len(sources)]
+                    assert pipeline.ddg(source, "l").name == "l"
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [
+                threading.Thread(target=parse, args=(index * 97,))
+                for index in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(pipeline._ddg_cache) <= 512
 
 
 BATCH = [

@@ -41,6 +41,7 @@ from repro.cluster import ClusterClient
 from repro.eval.engine import run_cells, workload_cells
 from repro.faults import plan as faults
 from repro.machine.specs import resolve_machine
+from repro.sched.cache import response_memo
 from repro.sched.store import ScheduleStore
 from repro.server import CompileService, LineTCPServer
 from repro.server.protocol import handle_line
@@ -230,6 +231,12 @@ class TestWorkerCrashRecovery:
 # ---------------------------------------------------------------------------
 # service: bounded queue, deadlines, drain
 class TestServiceBackpressure:
+    @pytest.fixture(autouse=True)
+    def _unanswered(self):
+        # a request the response memo holds never queues; these tests
+        # are about the queue
+        response_memo().clear()
+
     def test_full_queue_sheds_with_busy(self):
         service = CompileService(start=False, max_queue=1,
                                  batch_window=0.0)

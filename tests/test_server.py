@@ -10,6 +10,8 @@ The contracts under test, in the order the ISSUE states them:
   (asserted via the schedule-compute counters);
 * a repeated request set causes zero new schedule computations,
   verified through the ``/stats`` CacheStats block;
+* a request answered once is answered again from the ``response``
+  memo before it queues, with a caller-owned, byte-identical document;
 * the client falls back to in-process compilation when no server is
   reachable — with byte-identical results.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import threading
 
 import pytest
@@ -31,6 +34,7 @@ from repro.client import (
     connect,
 )
 from repro.sched import cache as sched_cache
+from repro.sched import store as sched_store
 from repro.server import (
     CompileHTTPServer,
     CompileService,
@@ -484,3 +488,215 @@ class TestDaemonLifecycle:
         finally:
             if process.poll() is None:  # pragma: no cover
                 process.kill()
+
+
+# ======================================================================
+def _memo_hits() -> int:
+    return sched_cache.STATS.response_hits
+
+
+class TestResponseMemo:
+    """A request the process has answered is answered again from the
+    ``response`` memo before it queues."""
+
+    def test_hit_never_queues(self):
+        request = {"loop": fresh_loop(), "registers": 16}
+        with CompileService(batch_window=0.0) as first:
+            expected = first.compile(dict(request)).to_json_text()
+        svc = CompileService(start=False)  # no dispatcher at all
+        try:
+            hits = _memo_hits()
+            future = svc.submit(dict(request))
+            assert future.done()
+            assert future.result(timeout=0).to_json_text() == expected
+            assert _memo_hits() == hits + 1
+            counters = svc.stats()["service"]
+            assert counters["batches"] == 0 and counters["queued"] == 0
+            assert counters["requests"] == 1 and counters["answered"] == 1
+            # a hit still observes the client-experienced latency
+            assert svc.metrics.summary()["latency"]["request"]["count"] == 1
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("scheduler", ["hrms", "ims", "swing"])
+    @pytest.mark.parametrize("strategy", ["spill", "increase", "combined"])
+    def test_hit_is_byte_identical_to_pipeline(
+        self, service, scheduler, strategy
+    ):
+        request = {"loop": fresh_loop(), "machine": "generic:4:2",
+                   "registers": 6, "scheduler": scheduler,
+                   "strategy": strategy}
+        (expected,) = direct_documents([request])
+        assert service.compile(dict(request)).to_json_text() == expected
+        batches, hits = service.batches_total, _memo_hits()
+        assert service.compile(dict(request)).to_json_text() == expected
+        assert (service.batches_total, _memo_hits()) == (batches, hits + 1)
+
+    def test_restarted_service_answers_from_its_store(self, tmp_path):
+        store_dir = str(tmp_path / "cache")
+        request = {"loop": fresh_loop(), "registers": 16}
+        with CompileService(cache=store_dir, batch_window=0.0) as first:
+            expected = first.compile(dict(request)).to_json_text()
+        sched_cache.clear()  # a process restart: memory gone, disk kept
+        # the pipeline's store is read through without being activated
+        assert sched_store.active_store() is None
+        with CompileService(cache=store_dir, start=False) as second:
+            future = second.submit(dict(request))
+            assert future.done()
+            assert future.result(timeout=0).to_json_text() == expected
+            stats = second.stats()
+        assert stats["service"]["answered"] == 1
+        assert stats["cache"]["store_hits"] == 1
+
+    def test_verify_and_plain_pipelines_never_share(self):
+        request = {"loop": fresh_loop(), "registers": 16}
+        with CompileService(batch_window=0.0) as plain, CompileService(
+            Pipeline(verify=True), batch_window=0.0
+        ) as verifying:
+            assert plain.compile(dict(request)).verified is None
+            assert verifying.compile(dict(request)).verified is True
+            assert verifying.batches_total == 1  # not served plain's
+            assert plain.compile(dict(request)).verified is None
+            assert verifying.compile(dict(request)).verified is True
+            assert (plain.answered_total, verifying.answered_total) == (1, 1)
+
+    def test_clear_empties_and_disabled_recompiles(self, service):
+        request = {"loop": fresh_loop(), "registers": 16}
+        service.compile(dict(request))
+        service.compile(dict(request))
+        assert (service.batches_total, service.answered_total) == (1, 1)
+        sched_cache.clear()
+        assert not sched_cache.response_memo()._entries
+        service.compile(dict(request))
+        assert (service.batches_total, service.answered_total) == (2, 1)
+        with sched_cache.disabled():
+            service.compile(dict(request))  # the memo holds it: ignored
+            service.compile(dict(request))
+        assert (service.batches_total, service.answered_total) == (4, 1)
+
+    def test_mutating_a_result_leaves_the_next_hit_unchanged(self, service):
+        request = {"loop": fresh_loop(), "machine": "generic:4:2",
+                   "registers": 6, "strategy": "spill"}
+        (expected,) = direct_documents([request])
+        for _ in range(3):  # the computed result, then two hits
+            result = service.compile(dict(request))
+            assert result.to_json_text() == expected
+            assert result.trace, "the spill strategy records rounds"
+            result.details["policy"] = "mutated"
+            result.trace[0]["spilled"].append("mutated")
+            result.trace[0]["ii"] = -1
+        assert service.answered_total == 2
+
+    def test_closed_or_draining_service_refuses_a_memoized_key(self):
+        from repro.server.service import ServiceShuttingDown
+
+        request = {"loop": fresh_loop(), "registers": 16}
+        svc = CompileService(batch_window=0.0)
+        svc.compile(dict(request))
+        svc.drain()
+        with pytest.raises(ServiceShuttingDown):
+            svc.submit(dict(request))
+        svc.close()
+        with pytest.raises(ServiceClosed):
+            svc.submit(dict(request))
+        assert (svc.requests_total, svc.answered_total) == (1, 0)
+
+    def test_failures_store_nothing(self, service, monkeypatch):
+        request = {"loop": fresh_loop(), "registers": 16}
+
+        def broken(requests, jobs=1):
+            raise RuntimeError("batch failed")
+
+        monkeypatch.setattr(service.pipeline, "compile_many", broken)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            service.compile(dict(request))
+        expired = {"loop": fresh_loop(), "registers": 16}
+        stopped = CompileService(start=False)
+        future = stopped.submit(dict(expired), deadline_ms=1)
+        threading.Event().wait(0.01)
+        stopped.start()
+        with pytest.raises(TimeoutError):
+            future.result(timeout=30)
+        stopped.close()
+        monkeypatch.undo()
+        service.compile(dict(request))
+        service.compile(dict(expired))
+        assert service.errors_total == 1
+        assert service.answered_total == 0  # both recompiled
+
+    def test_miss_compiles_the_graph_submit_parsed(self, service,
+                                                   monkeypatch):
+        import repro.api
+
+        parses = []
+        real = repro.api.ddg_from_source
+        monkeypatch.setattr(
+            repro.api, "ddg_from_source",
+            lambda *args, **kwargs: parses.append(args) or real(
+                *args, **kwargs
+            ),
+        )
+        request = {"loop": fresh_loop(), "registers": 16}
+        (expected,) = direct_documents([request])
+        parses.clear()
+        assert service.compile(dict(request)).to_json_text() == expected
+        assert len(parses) == 1  # the key's parse; the batch reused it
+
+    def test_concurrent_clients_under_constant_eviction(self, monkeypatch):
+        # transport threads read the process-wide memo while the
+        # dispatcher fills it; with a 4-entry bound most puts evict
+        monkeypatch.setattr(sched_cache, "_MAX_ENTRIES", 4)
+        sched_cache.response_memo().clear()
+        requests = [{"loop": fresh_loop(), "registers": 16}
+                    for _ in range(8)]
+        expected = direct_documents(requests)
+        outcomes: dict[int, list[str] | Exception] = {}
+        before = sched_cache.STATS.snapshot()
+
+        def one_client(index: int) -> None:
+            try:
+                outcomes[index] = [
+                    svc.compile(dict(requests[(index + step) % 8]),
+                                timeout=60).to_json_text()
+                    for step in range(24)
+                ]
+            except Exception as error:  # surfaced below
+                outcomes[index] = error
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        svc = CompileService(batch_window=0.0)
+        try:
+            threads = [threading.Thread(target=one_client, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        for index in range(8):
+            assert outcomes[index] == [
+                expected[(index + step) % 8] for step in range(24)
+            ], outcomes[index]
+        delta = sched_cache.STATS.delta(before)
+        assert svc.requests_total == 8 * 24
+        assert svc.requests_total == (
+            svc.answered_total + svc.coalesced_total + svc.compiled_total
+        )
+        assert delta.response_hits + delta.response_misses == 8 * 24
+        assert delta.response_hits == svc.answered_total
+        assert len(sched_cache.response_memo()._entries) <= 4
+
+    def test_answered_counter_in_stats_and_prometheus(self, service):
+        from repro.metrics import parse_text
+
+        request = {"loop": fresh_loop(), "registers": 16}
+        for _ in range(3):
+            service.compile(dict(request))
+        assert service.stats()["service"]["answered"] == 2
+        samples = parse_text(service.prometheus())
+        assert samples["repro_answered_total"] == 2.0
+        assert samples["repro_requests_total"] == 3.0

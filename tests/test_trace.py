@@ -45,6 +45,7 @@ from repro.metrics import (
     parse_text,
     render_prometheus,
 )
+from repro.sched.cache import response_memo
 from repro.server import CompileService, LineTCPServer, handle_line
 from repro.server.daemon import CompileHTTPServer
 from repro.trace import report as trace_report
@@ -232,6 +233,12 @@ class TestByteIdentity:
 
 # ======================================================================
 class TestServiceSpans:
+    @pytest.fixture(autouse=True)
+    def _unanswered(self):
+        # a request the response memo holds never queues or compiles;
+        # these tests follow a request that does both
+        response_memo().clear()
+
     def test_propagated_trace_spans_every_layer(self, tmp_path):
         db_path = str(tmp_path / "metrics.sqlite")
         service = CompileService(jobs=1, metrics=db_path)
@@ -272,6 +279,34 @@ class TestServiceSpans:
         with MetricsDB(db_path) as db:
             names = [s["name"] for s in db.spans()]
         assert "service.coalesce" in names
+
+    def test_memo_hit_records_marker_span(self, tmp_path):
+        db_path = str(tmp_path / "metrics.sqlite")
+        service = CompileService(jobs=1, metrics=db_path)
+        request = {"loop": FIG2, "registers": 16}
+        service.compile(dict(request))  # computed: fills the memo
+        # a hit traced through the transport (the active context) ...
+        context = trace.new_trace()
+        assert handle_line(service, json.dumps({
+            "op": "compile", "id": 1, "request": request,
+            "trace": context.to_wire(),
+        }))["ok"]
+        # ... and one carrying its context in the request mapping
+        wired = trace.new_trace()
+        service.compile({**request, "trace": wired.to_wire()})
+        service.close()
+        with MetricsDB(db_path) as db:
+            spans = db.spans(trace_id=context.trace_id)
+            wired_spans = db.spans(trace_id=wired.trace_id)
+        assert service.stats()["service"]["answered"] == 2
+        names = {s["name"] for s in spans}
+        assert "service.memo" in names and "server.compile" in names
+        # the hit never queued, batched or compiled
+        assert not names & {"service.queue", "service.batch", "compile"}
+        (marker,) = [s for s in spans if s["name"] == "service.memo"]
+        assert marker["dur_ms"] == 0.0 and marker["layer"] == "service"
+        assert [s["name"] for s in wired_spans] == ["service.memo"]
+        assert wired_spans[0]["parent_id"] == wired.span_id
 
     def test_untraced_requests_record_nothing(self, tmp_path):
         db_path = str(tmp_path / "metrics.sqlite")
@@ -669,6 +704,7 @@ class TestTraceCLI:
         from repro.cli import main
 
         db_path = str(tmp_path / "trace.sqlite")
+        response_memo().clear()  # an answered request would not queue
         service = CompileService(jobs=1, metrics=db_path)
         context = trace.new_trace()
         line = json.dumps({
