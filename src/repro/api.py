@@ -57,7 +57,7 @@ from repro.machine.machine import MachineConfig
 from repro.machine.specs import machine_label, resolve_machine
 from repro.sched import store as sched_store
 from repro.sched.base import ModuloScheduler
-from repro.sched.cache import cached_mii
+from repro.sched.cache import cached_mii, compile_request_key
 from repro.sched.registry import canonical_name, create_scheduler
 from repro.sched.schedule import Schedule
 from repro.trace import context as trace_context
@@ -508,6 +508,28 @@ class Pipeline:
         if request.get("trace") is not None:
             normalized["trace"] = request["trace"]
         return normalized
+
+    def request_key(self, request: dict) -> tuple:
+        """``(key, ddg)``: the identity of one request mapping — the
+        memo/store key material plus the loop name (equal keys ⇒
+        byte-identical response documents) — and the graph parsed to
+        compute it.  The compile service coalesces and memoizes on this
+        key; :class:`repro.cluster.ClusterClient` routes on it.  Raises
+        :class:`ValueError` on a malformed request."""
+        normalized = self.normalize_request(request)
+        ddg = self.ddg(normalized["loop"], normalized["name"])
+        key = (
+            normalized["name"],
+            *compile_request_key(
+                ddg,
+                normalized["machine"],
+                normalized["scheduler"],
+                normalized["strategy"],
+                normalized["registers"],
+                normalized["options"],
+            ),
+        )
+        return key, ddg
 
     def results(self, requests, jobs: int = 1):
         """Lazily compile a batch, yielding one

@@ -609,7 +609,7 @@ def _cmd_serve(args) -> int:
     if args.http is not None and not (0 <= args.http <= 65535):
         raise SystemExit("repro serve: --http PORT must be 0..65535")
     if args.tcp is not None:
-        from repro.server.daemon import parse_tcp_address
+        from repro.server.protocol import parse_tcp_address
 
         try:
             parse_tcp_address(args.tcp)

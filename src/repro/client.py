@@ -33,6 +33,7 @@ attach it to every request (line protocol: a ``"token"`` field; HTTP:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -42,6 +43,11 @@ import urllib.request
 
 from repro.api import CompilationResult, Pipeline
 from repro.faults import plan as faults
+from repro.server.protocol import (
+    HTTP_OPS,
+    MAX_DEADLINE_MS,
+    parse_tcp_address,
+)
 from repro.trace import context as trace_context
 
 #: Environment variable naming the default server address.
@@ -124,32 +130,6 @@ def is_transient_error(error: BaseException) -> bool:
     )
 
 
-def _request_mapping(
-    source, name, machine, scheduler, strategy, registers, options
-) -> dict:
-    """The compile-request wire mapping: only explicitly-given fields
-    are sent, so the server's pipeline defaults fill the rest (they are
-    ``compile_loop``'s defaults)."""
-    if not isinstance(source, str):
-        raise ValueError(
-            "remote compilation needs mini-language source text"
-            f" (got {type(source).__name__}); DDG inputs only work"
-            " with the in-process LocalClient"
-        )
-    request: dict = {"loop": source, "name": name}
-    if machine is not None:
-        request["machine"] = str(machine)
-    if scheduler is not None:
-        request["scheduler"] = str(scheduler)
-    if strategy is not None:
-        request["strategy"] = str(strategy)
-    if registers is not _UNSET:
-        request["registers"] = registers
-    if options is not None:
-        request["options"] = dict(options)
-    return request
-
-
 #: Request fields :func:`connect` accepts as client-level defaults.
 _DEFAULT_KEYS = frozenset(
     {"machine", "scheduler", "strategy", "registers", "options"}
@@ -172,12 +152,7 @@ class _BaseClient:
         self.defaults: dict = {}
 
     def _apply_defaults(self, request: dict) -> dict:
-        if not self.defaults:
-            return dict(request)
-        merged = dict(request)
-        for key, value in self.defaults.items():
-            merged.setdefault(key, value)
-        return merged
+        return {**self.defaults, **request}
 
     def compile(
         self,
@@ -190,10 +165,21 @@ class _BaseClient:
         options: dict | None = None,
     ) -> CompilationResult:
         """Compile one loop (the :func:`repro.api.compile_loop`
-        signature; omitted arguments use the server's defaults)."""
-        request = _request_mapping(
-            source, name, machine, scheduler, strategy, registers, options
-        )
+        signature; omitted arguments use the server's defaults).  Only
+        explicitly-given fields enter the request mapping, so the
+        serving pipeline's defaults fill the rest (they are
+        ``compile_loop``'s defaults)."""
+        request: dict = {"loop": source, "name": name}
+        if machine is not None:
+            request["machine"] = machine
+        if scheduler is not None:
+            request["scheduler"] = scheduler
+        if strategy is not None:
+            request["strategy"] = strategy
+        if registers is not _UNSET:
+            request["registers"] = registers
+        if options is not None:
+            request["options"] = dict(options)
         return self.compile_request(request)
 
     def compile_request(
@@ -235,36 +221,111 @@ class _BaseClient:
         self.close()
 
 
-class _LineClient(_BaseClient):
+class _WireClient(_BaseClient):
+    """The ops over a wire: every method is one exchange of a protocol
+    op and its fields.  A transport implements only ``_exchange(op,
+    fields, deadline_ms, trace_wire)``, which returns a mapping that
+    holds the op's ok-payload fields or raises the typed client
+    error."""
+
+    def __init__(self, token: str | None = None) -> None:
+        super().__init__()
+        self.token = token
+
+    def _call(
+        self, op: str, deadline_ms: float | None = None, **fields
+    ) -> dict:
+        # when tracing is on (and the op is traceable) this opens a
+        # client.<op> span and propagates its context out of band;
+        # otherwise trace_wire is None and the request bytes are
+        # exactly the untraced ones
+        with trace_context.client_scope(op) as trace_wire:
+            return self._exchange(op, fields, deadline_ms, trace_wire)
+
+    def _wire_request(self, request: dict) -> dict:
+        """*request* with the client defaults, in its wire form: spec
+        fields as their strings, the loop as source text."""
+        request = self._apply_defaults(request)
+        loop = request.get("loop")
+        if loop is not None and not isinstance(loop, str):
+            raise ValueError(
+                "remote compilation needs mini-language source text"
+                f" (got {type(loop).__name__}); DDG inputs only work"
+                " with the in-process LocalClient"
+            )
+        for key in ("machine", "scheduler", "strategy"):
+            if request.get(key) is not None:
+                request[key] = str(request[key])
+        return request
+
+    def compile_request(
+        self, request: dict, deadline_ms: float | None = None
+    ) -> CompilationResult:
+        response = self._call(
+            "compile", deadline_ms, request=self._wire_request(request)
+        )
+        return CompilationResult.from_json(response["result"])
+
+    def compile_many(
+        self, requests, deadline_ms: float | None = None
+    ) -> list[CompilationResult]:
+        response = self._call(
+            "compile_many", deadline_ms,
+            requests=[self._wire_request(r) for r in requests],
+        )
+        return [
+            CompilationResult.from_json(document)
+            for document in response["results"]
+        ]
+
+    def evaluate_cells(self, cell_documents) -> tuple[list, dict]:
+        response = self._call("cells", cells=list(cell_documents))
+        return response["results"], response["cache"]
+
+    def healthz(self) -> dict:
+        return self._call("health")["health"]
+
+    def stats(self) -> dict:
+        return self._call("stats")["stats"]
+
+    def shutdown(self) -> None:
+        self._call("shutdown")
+
+
+def _client_wait(deadline_ms: float | None) -> float | None:
+    """The seconds a client waits for the response to a request with
+    *deadline_ms*.  None without a deadline, and None for one the
+    server rejects (not positive, not finite, too long): the server's
+    validator reports that, the same on every transport."""
+    if deadline_ms is None or not 0 < deadline_ms <= MAX_DEADLINE_MS:
+        return None
+    return deadline_ms / 1000.0
+
+
+def _deadline_exceeded(deadline_ms: float) -> ServerTimeout:
+    return ServerTimeout(
+        f"deadline of {deadline_ms:g} ms exceeded waiting for server"
+        " response"
+    )
+
+
+class _LineClient(_WireClient):
     """Shared line-protocol client: one connected stream socket, one
     request line out, one response line back.  Subclasses provide the
     connected socket (unix domain or TCP)."""
 
     def __init__(self, sock: socket.socket,
                  token: str | None = None) -> None:
-        super().__init__()
-        self.token = token
+        super().__init__(token)
         self._sock = sock
         self._file = sock.makefile("rwb")
         self._next_id = 0
 
-    def _call(
-        self, op: str, deadline_ms: float | None = None, **fields
-    ) -> dict:
-        # when tracing is on (and the op is traceable) this opens a
-        # client.<op> span and propagates its context on the line's
-        # "trace" envelope field; otherwise wire is None and the
-        # request bytes are exactly the untraced ones
-        with trace_context.client_scope(op) as wire:
-            if wire is not None:
-                fields = dict(fields, trace=wire)
-            return self._call_inner(op, deadline_ms, **fields)
-
-    def _call_inner(
-        self, op: str, deadline_ms: float | None = None, **fields
-    ) -> dict:
+    def _exchange(self, op, fields, deadline_ms, trace_wire) -> dict:
         self._next_id += 1
         message = {"op": op, "id": self._next_id, **fields}
+        if trace_wire is not None:
+            message["trace"] = trace_wire
         if deadline_ms is not None:
             message["deadline_ms"] = deadline_ms
         if self.token is not None:
@@ -272,11 +333,12 @@ class _LineClient(_BaseClient):
         if faults.enabled() and faults.fire("cluster.auth_flap") is not None:
             message["token"] = "<fault-injected-auth-flap>"
         restore_timeout = _UNSET
-        if deadline_ms is not None:
+        wait = _client_wait(deadline_ms)
+        if wait is not None:
             # enforce the deadline client-side too: a server stalled
             # mid-response must not hold us past it
             restore_timeout = self._sock.gettimeout()
-            self._sock.settimeout(deadline_ms / 1000.0)
+            self._sock.settimeout(wait)
         try:
             self._file.write(
                 (json.dumps(message, sort_keys=True) + "\n").encode()
@@ -287,14 +349,9 @@ class _LineClient(_BaseClient):
             # the stream is desynced (the response may still arrive
             # later) — this connection is done
             self.close()
-            raise ServerTimeout(
-                f"deadline of {deadline_ms:g} ms exceeded waiting for"
-                " server response"
-            ) from None
+            raise _deadline_exceeded(deadline_ms) from None
         finally:
             if restore_timeout is not _UNSET:
-                import contextlib
-
                 with contextlib.suppress(OSError):
                     self._sock.settimeout(restore_timeout)
         if not line:
@@ -319,45 +376,7 @@ class _LineClient(_BaseClient):
             )
         return response
 
-    def compile_request(
-        self, request: dict, deadline_ms: float | None = None
-    ) -> CompilationResult:
-        response = self._call(
-            "compile",
-            deadline_ms=deadline_ms,
-            request=self._apply_defaults(request),
-        )
-        return CompilationResult.from_json(response["result"])
-
-    def compile_many(
-        self, requests, deadline_ms: float | None = None
-    ) -> list[CompilationResult]:
-        response = self._call(
-            "compile_many",
-            deadline_ms=deadline_ms,
-            requests=[self._apply_defaults(r) for r in requests],
-        )
-        return [
-            CompilationResult.from_json(document)
-            for document in response["results"]
-        ]
-
-    def evaluate_cells(self, cell_documents) -> tuple[list, dict]:
-        response = self._call("cells", cells=list(cell_documents))
-        return response["results"], response["cache"]
-
-    def healthz(self) -> dict:
-        return self._call("health")["health"]
-
-    def stats(self) -> dict:
-        return self._call("stats")["stats"]
-
-    def shutdown(self) -> None:
-        self._call("shutdown")
-
     def close(self) -> None:
-        import contextlib
-
         with contextlib.suppress(OSError):
             self._file.close()
         with contextlib.suppress(OSError):
@@ -399,35 +418,26 @@ class TCPClient(_LineClient):
         return f"tcp://{self.host}:{self.port}"
 
 
-class HTTPClient(_BaseClient):
-    """Client for the HTTP transport (standard library only)."""
+class HTTPClient(_WireClient):
+    """Client for the HTTP transport (standard library only): each op
+    goes to its :data:`repro.server.protocol.HTTP_ROUTES` endpoint."""
 
     transport = "http"
 
     def __init__(self, base_url: str, timeout: float = 60.0,
                  token: str | None = None) -> None:
-        super().__init__()
+        super().__init__(token)
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.token = token
 
-    def _call(
-        self, path: str, payload=None, deadline_ms: float | None = None
-    ) -> dict:
-        with trace_context.client_scope(path.lstrip("/")) as wire:
-            return self._call_inner(
-                path, payload, deadline_ms=deadline_ms, trace_wire=wire
-            )
-
-    def _call_inner(
-        self, path: str, payload=None, deadline_ms: float | None = None,
-        trace_wire: dict | None = None,
-    ) -> dict:
-        url = f"{self.base_url}{path}"
-        data = None
+    def _exchange(self, op, fields, deadline_ms, trace_wire) -> dict:
+        method, path, body, unwrap = HTTP_OPS[op]
         headers = {}
-        if payload is not None:
-            data = json.dumps(payload, sort_keys=True).encode()
+        data = None
+        if method == "POST":
+            data = json.dumps(
+                fields[body] if body is not None else {}, sort_keys=True
+            ).encode()
             headers["Content-Type"] = "application/json"
         if self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -435,14 +445,16 @@ class HTTPClient(_BaseClient):
             headers["X-Repro-Trace"] = json.dumps(
                 trace_wire, sort_keys=True
             )
-        timeout = self.timeout
         if deadline_ms is not None:
             headers["X-Repro-Deadline-Ms"] = f"{deadline_ms:g}"
-            timeout = min(timeout, deadline_ms / 1000.0)
-        request = urllib.request.Request(url, data=data, headers=headers)
+        wait = _client_wait(deadline_ms)
+        timeout = self.timeout if wait is None else min(self.timeout, wait)
+        request = urllib.request.Request(
+            f"{self.base_url}{path}", data=data, headers=headers
+        )
         try:
             with urllib.request.urlopen(request, timeout=timeout) as r:
-                return json.loads(r.read())
+                document = json.loads(r.read())
         except urllib.error.HTTPError as error:
             kind = None
             try:
@@ -453,51 +465,12 @@ class HTTPClient(_BaseClient):
                 message = str(error)
             raise_for_kind(message, kind)
         except urllib.error.URLError as error:
-            if deadline_ms is not None and isinstance(
+            if wait is not None and isinstance(
                 error.reason, (socket.timeout, TimeoutError)
             ):
-                raise ServerTimeout(
-                    f"deadline of {deadline_ms:g} ms exceeded waiting for"
-                    " server response"
-                ) from None
+                raise _deadline_exceeded(deadline_ms) from None
             raise ClientError(f"server unreachable: {error.reason}") from error
-
-    def compile_request(
-        self, request: dict, deadline_ms: float | None = None
-    ) -> CompilationResult:
-        return CompilationResult.from_json(
-            self._call(
-                "/compile",
-                self._apply_defaults(request),
-                deadline_ms=deadline_ms,
-            )
-        )
-
-    def compile_many(
-        self, requests, deadline_ms: float | None = None
-    ) -> list[CompilationResult]:
-        response = self._call(
-            "/compile_many",
-            [self._apply_defaults(r) for r in requests],
-            deadline_ms=deadline_ms,
-        )
-        return [
-            CompilationResult.from_json(document)
-            for document in response["results"]
-        ]
-
-    def evaluate_cells(self, cell_documents) -> tuple[list, dict]:
-        response = self._call("/cells", list(cell_documents))
-        return response["results"], response["cache"]
-
-    def healthz(self) -> dict:
-        return self._call("/healthz")
-
-    def stats(self) -> dict:
-        return self._call("/stats")
-
-    def shutdown(self) -> None:
-        self._call("/shutdown", payload={})
+        return {unwrap: document} if unwrap is not None else document
 
 
 class LocalClient(_BaseClient):
@@ -513,30 +486,6 @@ class LocalClient(_BaseClient):
     def __init__(self, pipeline: Pipeline | None = None) -> None:
         super().__init__()
         self.pipeline = pipeline if pipeline is not None else Pipeline()
-
-    def compile(
-        self,
-        source,
-        name: str = "loop",
-        machine=None,
-        scheduler=None,
-        strategy: str | None = None,
-        registers=_UNSET,
-        options: dict | None = None,
-    ) -> CompilationResult:
-        # unlike the wire clients, DDG inputs are fine in-process
-        request: dict = {"loop": source, "name": name}
-        if machine is not None:
-            request["machine"] = machine
-        if scheduler is not None:
-            request["scheduler"] = scheduler
-        if strategy is not None:
-            request["strategy"] = strategy
-        if registers is not _UNSET:
-            request["registers"] = registers
-        if options is not None:
-            request["options"] = dict(options)
-        return self.compile_request(request)
 
     def compile_request(
         self, request: dict, deadline_ms: float | None = None
@@ -568,19 +517,10 @@ def client_for(address: str, timeout: float = 60.0,
     anything else is a unix-socket path."""
     if address.startswith(("http://", "https://")):
         return HTTPClient(address, timeout=timeout, token=token)
-    tcp = None
-    if address.startswith("tcp://"):
-        tcp = address[len("tcp://"):]
-    elif ":" in address and "/" not in address:
-        tcp = address  # bare host:port — a path would carry a slash
-    if tcp is not None:
-        host, _, port_text = tcp.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ValueError(f"bad TCP address {address!r}") from None
-        return TCPClient(host or "127.0.0.1", port,
-                         timeout=timeout, token=token)
+    if address.startswith("tcp://") or (":" in address and "/" not in address):
+        # bare host:port — a path would carry a slash
+        host, port = parse_tcp_address(address.removeprefix("tcp://"))
+        return TCPClient(host, port, timeout=timeout, token=token)
     return SocketClient(address, timeout=timeout, token=token)
 
 

@@ -3,9 +3,9 @@
 :class:`ClusterClient` fronts N ``repro serve`` daemons (the TCP line
 protocol, usually token-authenticated) as one compilation service:
 
-* every compile request is routed by its **cache identity** — the same
-  :func:`repro.sched.cache.compile_request_key` material the daemons'
-  memo/store layers use — so one key range always lands on one shard
+* every compile request is routed by its **cache identity** — the
+  :meth:`repro.api.Pipeline.request_key` the daemons coalesce and
+  memoize on — so one key range always lands on one shard
   and that shard's warm pool, in-memory memos and persistent store stay
   hot for it;
 * experiment-engine cells route by their ``(loop, machine, scheduler)``
@@ -38,14 +38,13 @@ from repro.client import (
     ClientError,
     RetriesExhausted,
     ServerTimeout,
-    _UNSET,
-    _request_mapping,
+    _BaseClient,
     connect,
     is_transient_error,
 )
 from repro.faults import plan as faults
 from repro.cluster.ring import HashRing
-from repro.sched.cache import CacheStats, compile_request_key
+from repro.sched.cache import CacheStats
 from repro.trace import context as trace_context
 
 __all__ = ["ClusterClient", "parse_addresses"]
@@ -63,7 +62,7 @@ def parse_addresses(value) -> list[str]:
     return addresses
 
 
-class ClusterClient:
+class ClusterClient(_BaseClient):
     """One logical compilation service over N sharded daemons."""
 
     transport = "cluster"
@@ -77,13 +76,14 @@ class ClusterClient:
         replicas: int = 64,
         down_ttl: float = 10.0,
     ) -> None:
+        super().__init__()
         self.ring = HashRing(parse_addresses(addresses), replicas=replicas)
         self.token = token
         self.timeout = timeout
         self.retries = retries
         self.down_ttl = down_ttl
-        # key computation mirrors the daemons' (default pipeline, no
-        # cache side effects beyond parsing)
+        # routing keys are the daemons' own Pipeline.request_key
+        # (default pipeline, no cache side effects beyond parsing)
         self._pipeline = Pipeline()
         self._lock = threading.Lock()
         self._clients: dict[str, object] = {}
@@ -103,19 +103,7 @@ class ClusterClient:
         """The routing key of one compile-request mapping: its full
         cache identity (what the shard's memo/store/coalescing key on),
         so equal requests always meet on the same shard."""
-        normalized = self._pipeline.normalize_request(request)
-        ddg = self._pipeline.ddg(normalized["loop"], normalized["name"])
-        key = (
-            normalized["name"],
-            *compile_request_key(
-                ddg,
-                normalized["machine"],
-                normalized["scheduler"],
-                normalized["strategy"],
-                normalized["registers"],
-                normalized["options"],
-            ),
-        )
+        key, _ = self._pipeline.request_key(request)
         return "|".join(str(part) for part in key)
 
     @staticmethod
@@ -248,20 +236,6 @@ class ClusterClient:
 
     # ------------------------------------------------------------------
     # the compile surface
-    def compile(
-        self,
-        source,
-        name: str = "loop",
-        machine=None,
-        scheduler=None,
-        strategy: str | None = None,
-        registers=_UNSET,
-        options: dict | None = None,
-    ) -> CompilationResult:
-        return self.compile_request(_request_mapping(
-            source, name, machine, scheduler, strategy, registers, options
-        ))
-
     @staticmethod
     def _deadline_limit(deadline_ms: float | None) -> float | None:
         """The absolute monotonic deadline for one routed call, fixed
@@ -306,17 +280,16 @@ class ClusterClient:
         routed group call, fail-over hops included."""
         requests = list(requests)
         limit = self._deadline_limit(deadline_ms)
+        keys = [self.shard_key(request) for request in requests]
         groups: dict[str, list[int]] = {}
-        for index, request in enumerate(requests):
-            shard = self.ring.node_for(self.shard_key(request))
-            groups.setdefault(shard, []).append(index)
+        for index, key in enumerate(keys):
+            groups.setdefault(self.ring.node_for(key), []).append(index)
         results: list = [None] * len(requests)
 
         def run_group(indexes: list[int]):
             batch = [requests[i] for i in indexes]
-            key = self.shard_key(batch[0])
             return self._call_routed(
-                key,
+                keys[indexes[0]],
                 lambda client: client.compile_many(
                     batch,
                     deadline_ms=self._remaining_ms(
@@ -438,9 +411,3 @@ class ClusterClient:
             self._clients.clear()
         for client in clients:
             client.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -24,7 +24,6 @@ from repro.server.daemon import (
     CompileHTTPServer,
     LineSocketServer,
     LineTCPServer,
-    parse_tcp_address,
     serve,
     serve_stdio,
 )
@@ -32,7 +31,9 @@ from repro.server.protocol import (
     PROTOCOL_SCHEMA,
     UNAUTHORIZED,
     check_token,
+    dispatch,
     handle_line,
+    parse_tcp_address,
 )
 from repro.server.service import CompileService, ServiceClosed
 
@@ -45,6 +46,7 @@ __all__ = [
     "ServiceClosed",
     "UNAUTHORIZED",
     "check_token",
+    "dispatch",
     "handle_line",
     "parse_tcp_address",
     "serve",

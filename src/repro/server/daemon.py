@@ -15,11 +15,12 @@ framing:
   token — unauthenticated lines are rejected at the protocol layer
   with a constant-time comparison;
 * **HTTP** (``repro serve --http PORT``) — a minimal standard-library
-  endpoint: ``POST /compile`` and ``POST /compile_many`` take the same
-  request mappings, ``POST /cells`` evaluates routed engine cells,
-  ``GET /healthz`` and ``GET /stats`` expose the service telemetry,
-  ``GET /metrics`` serves the Prometheus text exposition, ``POST
-  /shutdown`` stops the daemon.  With a token configured, every
+  framing of the same ops: :data:`repro.server.protocol.HTTP_ROUTES`
+  maps ``POST /compile``, ``/compile_many``, ``/cells``, ``/shutdown``
+  and ``GET /healthz``, ``/stats`` onto them, and each runs through
+  :func:`repro.server.protocol.dispatch` like a protocol line; ``GET
+  /metrics`` (HTTP only) serves the Prometheus text exposition.  With
+  a token configured, every
   endpoint except ``GET /healthz`` (liveness probes stay cheap and
   credential-free) requires ``Authorization: Bearer <token>``.
   Compile requests may carry a propagated trace context in an
@@ -50,7 +51,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.faults import plan as faults
 from repro.server import protocol
 from repro.server.service import CompileService
-from repro.trace import context as trace_context
 
 
 # ----------------------------------------------------------------------
@@ -91,26 +91,41 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 return
 
 
-class LineSocketServer(socketserver.ThreadingUnixStreamServer):
-    """The line protocol on a unix domain socket (one thread per
-    connection; all threads feed the one shared service queue)."""
+class _DaemonServer:
+    """What every socket transport holds: the shared *service*, the
+    expected *token* and the daemon's *stop* callback."""
 
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, path: str, service: CompileService, stop=None,
-                 token: "str | None" = None):
+    def __init__(self, address, handler, service: CompileService, stop,
+                 token: "str | None") -> None:
         self.service = service
-        self._stop = stop
         self.token = token
-        self.path = path
-        with contextlib.suppress(OSError):
-            os.unlink(path)  # a stale socket from a dead daemon
-        super().__init__(path, _LineHandler)
+        self._stop = stop
+        super().__init__(address, handler)
+
+    @property
+    def port(self) -> "int | None":
+        """The bound INET port (``None`` on a unix socket)."""
+        address = self.server_address
+        return address[1] if isinstance(address, tuple) else None
 
     def stop_daemon(self) -> None:
         if self._stop is not None:
             self._stop()
+
+
+class LineSocketServer(_DaemonServer, socketserver.ThreadingUnixStreamServer):
+    """The line protocol on a unix domain socket (one thread per
+    connection; all threads feed the one shared service queue)."""
+
+    def __init__(self, path: str, service: CompileService, stop=None,
+                 token: "str | None" = None):
+        self.path = path
+        with contextlib.suppress(OSError):
+            os.unlink(path)  # a stale socket from a dead daemon
+        super().__init__(path, _LineHandler, service, stop, token)
 
     def server_close(self) -> None:
         super().server_close()
@@ -118,7 +133,7 @@ class LineSocketServer(socketserver.ThreadingUnixStreamServer):
             os.unlink(self.path)
 
 
-class LineTCPServer(socketserver.ThreadingTCPServer):
+class LineTCPServer(_DaemonServer, socketserver.ThreadingTCPServer):
     """The line protocol on a TCP socket — the cluster transport.
 
     Identical framing and semantics to :class:`LineSocketServer`; the
@@ -128,32 +143,25 @@ class LineTCPServer(socketserver.ThreadingTCPServer):
     ephemeral port and read it back from :attr:`port`.
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
-
     def __init__(self, host: str, port: int, service: CompileService,
                  stop=None, token: "str | None" = None):
-        self.service = service
-        self._stop = stop
-        self.token = token
-        super().__init__((host, port), _LineHandler)
+        super().__init__((host, port), _LineHandler, service, stop, token)
 
     @property
     def host(self) -> str:
         return self.server_address[0]
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def stop_daemon(self) -> None:
-        if self._stop is not None:
-            self._stop()
-
 
 # ----------------------------------------------------------------------
 # HTTP transport
+#: Typed error kinds → HTTP status (any other failure is a 500).
+_KIND_STATUS = {"timeout": 504, "busy": 503, "shutting_down": 503}
+
+
 class _HTTPHandler(BaseHTTPRequestHandler):
+    """The HTTP framing of the protocol ops (see
+    :data:`repro.server.protocol.HTTP_ROUTES`)."""
+
     protocol_version = "HTTP/1.1"
 
     def log_message(self, format, *args):  # stderr, never stdout
@@ -161,16 +169,23 @@ class _HTTPHandler(BaseHTTPRequestHandler):
             f"repro serve: {self.address_string()} {format % args}\n"
         )
 
-    def _send(self, status: int, document: dict) -> None:
-        body = protocol.encode(document)
+    def _send(self, status: int, document: "dict | bytes",
+              content_type: str = "application/json") -> None:
+        body = (
+            document if isinstance(document, bytes)
+            else protocol.encode(document)
+        )
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
     def _body(self):
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            self.close_connection = True  # where the body ends is unknown
+            raise ValueError("Content-Length must not be negative")
         return json.loads(self.rfile.read(length) or b"null")
 
     def _authorized(self) -> bool:
@@ -187,109 +202,77 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         self._send(401, {"error": protocol.UNAUTHORIZED})
         return False
 
-    def do_GET(self) -> None:
+    def _message(self, field) -> dict:
+        """The protocol message for this request: the body under
+        *field*, the deadline and trace headers as their fields."""
+        message = {}
+        # per-request deadline rides in a header so the JSON body stays
+        # exactly the request material
+        deadline = self.headers.get("X-Repro-Deadline-Ms")
+        if deadline:
+            try:
+                message["deadline_ms"] = float(deadline)
+            except ValueError:
+                raise ValueError(
+                    "X-Repro-Deadline-Ms must be a number"
+                ) from None
+        trace = self.headers.get("X-Repro-Trace")
+        if trace is not None:
+            message["trace"] = trace
+        if field is not None:
+            message[field] = self._body()
+        return message
+
+    def _route(self, method: str) -> None:
         service = self.server.service
         if not self._authorized():
             return
-        if self.path == "/healthz":
-            self._send(200, service.healthz())
-        elif self.path == "/stats":
-            self._send(200, service.stats())
-        elif self.path == "/metrics":
-            body = service.prometheus().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type",
+        if method == "GET" and self.path == "/metrics":
+            self._send(
+                200, service.prometheus().encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self._send(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:
-        service = self.server.service
-        if not self._authorized():
             return
+        route = protocol.HTTP_ROUTES.get((method, self.path))
+        if route is None:
+            self._send(404, {"error": f"unknown path {self.path!r}"})
+            return
+        op, field, unwrap = route
+        # like the line transports: acknowledge a shutdown, then act
+        pending_shutdown = []
         try:
-            # per-request deadline rides in a header so the JSON body
-            # stays exactly the compile-request mapping
-            deadline_header = self.headers.get("X-Repro-Deadline-Ms")
-            deadline_ms = None
-            if deadline_header:
-                try:
-                    deadline_ms = float(deadline_header)
-                except ValueError:
-                    raise ValueError(
-                        "X-Repro-Deadline-Ms must be a number"
-                    ) from None
-            # the optional propagated trace context (out-of-band, like
-            # the deadline): absent or malformed → untraced nullcontext
-            trace_header = self.headers.get("X-Repro-Trace")
-            if self.path == "/compile":
-                request = self._body()
-                if not isinstance(request, dict):
-                    raise ValueError("body must be one request mapping")
-                with trace_context.server_scope(trace_header, "compile"):
-                    result = service.compile(request, deadline_ms=deadline_ms)
-                self._send(200, result.to_json())
-            elif self.path == "/compile_many":
-                requests = self._body()
-                if not isinstance(requests, list):
-                    raise ValueError("body must be a list of mappings")
-                with trace_context.server_scope(
-                    trace_header, "compile_many"
-                ):
-                    results = service.compile_many(
-                        requests, deadline_ms=deadline_ms
-                    )
-                self._send(
-                    200, {"results": [r.to_json() for r in results]}
-                )
-            elif self.path == "/cells":
-                cells = self._body()
-                if not isinstance(cells, list):
-                    raise ValueError("body must be a list of cell mappings")
-                with trace_context.server_scope(trace_header, "cells"):
-                    results, cache = service.evaluate_cells(cells)
-                self._send(200, {"results": results, "cache": cache})
-            elif self.path == "/shutdown":
-                self._send(200, {"shutdown": True})
-                self.server.stop_daemon()
-            else:
-                self._send(404, {"error": f"unknown path {self.path!r}"})
-        except (ValueError, json.JSONDecodeError) as error:
+            payload = protocol.dispatch(
+                service, op, self._message(field),
+                shutdown=lambda: pending_shutdown.append(True),
+            )
+        except ValueError as error:
             self._send(400, {"error": str(error)})
+            return
         except Exception as error:  # compile failures must not kill HTTP
             kind = protocol.error_kind(error)
-            if kind == "timeout":
-                self._send(504, {"error": str(error), "kind": kind})
-            elif kind is not None:  # busy / shutting_down
-                self._send(503, {"error": str(error), "kind": kind})
-            else:
-                self._send(500, {"error": str(error)})
+            document = {"error": str(error)}
+            if kind is not None:
+                document["kind"] = kind
+            self._send(_KIND_STATUS.get(kind, 500), document)
+            return
+        self._send(200, payload[unwrap] if unwrap else payload)
+        if pending_shutdown:
+            self.server.stop_daemon()
+
+    def do_GET(self) -> None:
+        self._route("GET")
+
+    def do_POST(self) -> None:
+        self._route("POST")
 
 
-class CompileHTTPServer(ThreadingHTTPServer):
-    """``POST /compile|/compile_many|/cells``, ``GET /healthz|/stats``."""
-
-    daemon_threads = True
+class CompileHTTPServer(_DaemonServer, ThreadingHTTPServer):
+    """The protocol ops as ``POST /compile|/compile_many|/cells|/shutdown``
+    and ``GET /healthz|/stats``, plus ``GET /metrics``."""
 
     def __init__(self, port: int, service: CompileService, stop=None,
                  host: str = "127.0.0.1", token: "str | None" = None):
-        self.service = service
-        self._stop = stop
-        self.token = token
-        super().__init__((host, port), _HTTPHandler)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def stop_daemon(self) -> None:
-        if self._stop is not None:
-            self._stop()
+        super().__init__((host, port), _HTTPHandler, service, stop, token)
 
 
 # ----------------------------------------------------------------------
@@ -356,21 +339,6 @@ def _interruptible_lines(stop_event: threading.Event):
 
 
 # ----------------------------------------------------------------------
-def parse_tcp_address(value) -> tuple[str, int]:
-    """``"[HOST:]PORT"`` (or a bare int, or a ``(host, port)`` pair) →
-    ``(host, port)``; the host defaults to ``127.0.0.1``."""
-    if isinstance(value, tuple):
-        host, port = value
-        return str(host), int(port)
-    if isinstance(value, int):
-        return "127.0.0.1", value
-    text = str(value)
-    if ":" in text:
-        host, _, port_text = text.rpartition(":")
-        return host or "127.0.0.1", int(port_text)
-    return "127.0.0.1", int(text)
-
-
 def serve(
     service: CompileService,
     http_port: int | None = None,
@@ -436,7 +404,7 @@ def serve(
             ))
             log(f"repro serve: listening on socket {socket_path}")
         if tcp is not None:
-            host, port = parse_tcp_address(tcp)
+            host, port = protocol.parse_tcp_address(tcp)
             tcp_server = LineTCPServer(
                 host, port, service, stop=stop_event.set, token=token
             )

@@ -28,6 +28,13 @@ health         the service's ``/healthz`` liveness document
 shutdown       acknowledge, then stop the daemon
 =============  ========================================================
 
+Every transport runs an op through :func:`dispatch`, the one place its
+fields are validated.  :func:`handle_line` adds the line framing; the
+HTTP transport frames the same ops through :data:`HTTP_ROUTES` (the
+body goes under the op's field, the ``X-Repro-Deadline-Ms`` and
+``X-Repro-Trace`` headers become ``deadline_ms`` and ``trace``), and
+the HTTP client reads the same table to reach an op.
+
 **Authentication.**  A daemon started with a shared token (``repro
 serve --token`` / ``$REPRO_TOKEN``) rejects, at this layer, every
 operation whose line does not carry a matching ``"token"`` field —
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import hmac
 import json
+import threading
 
 from repro.trace import context as trace_context
 
@@ -55,9 +63,33 @@ PROTOCOL_SCHEMA = "repro.server/1"
 #: Operations a protocol line may carry.
 OPS = ("compile", "compile_many", "cells", "stats", "health", "shutdown")
 
+#: The HTTP framing of the ops: ``(method, path) → (op, body field,
+#: response field)``.  The request body travels under the body field;
+#: a response field names the one payload entry sent unwrapped
+#: (``POST /compile`` answers the bare ``repro.compile/1`` document).
+HTTP_ROUTES = {
+    ("POST", "/compile"): ("compile", "request", "result"),
+    ("POST", "/compile_many"): ("compile_many", "requests", None),
+    ("POST", "/cells"): ("cells", "cells", None),
+    ("GET", "/stats"): ("stats", None, "stats"),
+    ("GET", "/healthz"): ("health", None, "health"),
+    ("POST", "/shutdown"): ("shutdown", None, None),
+}
+
+#: :data:`HTTP_ROUTES` by op: ``op → (method, path, body field,
+#: response field)``.
+HTTP_OPS = {
+    op: (method, path, body, unwrap)
+    for (method, path), (op, body, unwrap) in HTTP_ROUTES.items()
+}
+
 #: The error message every unauthenticated request gets (transports
 #: match on it to map auth failures to their own status codes).
 UNAUTHORIZED = "unauthorized: missing or invalid token"
+
+#: The longest ``deadline_ms`` a request may carry: the longest wait a
+#: thread can block for.
+MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1000.0
 
 
 def check_token(provided, expected: "str | None") -> bool:
@@ -81,10 +113,6 @@ def encode(document: dict) -> bytes:
     return (
         json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
     ).encode("utf-8")
-
-
-def ok_response(request_id, **payload) -> dict:
-    return {"id": request_id, "ok": True, **payload}
 
 
 def error_response(request_id, message: str, kind: "str | None" = None) -> dict:
@@ -120,8 +148,9 @@ def error_kind(error: BaseException) -> "str | None":
 
 
 def parse_deadline_ms(message: dict) -> "float | None":
-    """The optional ``deadline_ms`` field of a protocol line (a positive
-    number of milliseconds), validated."""
+    """The optional ``deadline_ms`` field of a protocol message (a
+    positive number of milliseconds, finite and no longer than a thread
+    can wait — ``threading.TIMEOUT_MAX``), validated."""
     deadline_ms = message.get("deadline_ms")
     if deadline_ms is None:
         return None
@@ -129,19 +158,76 @@ def parse_deadline_ms(message: dict) -> "float | None":
         deadline_ms, bool
     ) or deadline_ms <= 0:
         raise ValueError("'deadline_ms' must be a positive number")
+    if not deadline_ms <= MAX_DEADLINE_MS:  # also catches nan
+        raise ValueError(
+            f"'deadline_ms' must be finite and at most {MAX_DEADLINE_MS:g}"
+        )
     return float(deadline_ms)
+
+
+def _mappings(message: dict, field: str, op: str) -> list:
+    """The ``list`` of mappings under *field*, validated."""
+    value = message.get(field)
+    if not isinstance(value, list) or not all(
+        isinstance(item, dict) for item in value
+    ):
+        raise ValueError(f"{op!r} needs a {field!r} list of mappings")
+    return value
+
+
+def dispatch(service, op, message: dict, shutdown=None) -> dict:
+    """Validate *message*'s fields for *op*, run the op against
+    *service* and return the ok-payload (the response fields besides
+    ``id``/``ok``).  Every transport goes through here; a malformed
+    field raises :class:`ValueError`, a failed op raises whatever the
+    service raised.  *shutdown* is called (if given) for a ``shutdown``
+    op, which the transport acknowledges before acting on it."""
+    # The optional out-of-band "trace" field: requests arriving with a
+    # (valid) propagated trace context are recorded under a server.<op>
+    # span whatever this daemon's own tracing switch says.  Response
+    # bytes are unaffected — server_scope is a nullcontext when the
+    # field is absent or malformed.
+    trace = message.get("trace")
+    if op == "compile":
+        request = message.get("request")
+        if not isinstance(request, dict):
+            raise ValueError("'compile' needs a 'request' mapping")
+        deadline_ms = parse_deadline_ms(message)
+        with trace_context.server_scope(trace, op):
+            result = service.compile(request, deadline_ms=deadline_ms)
+        return {"result": result.to_json()}
+    if op == "compile_many":
+        requests = _mappings(message, "requests", op)
+        deadline_ms = parse_deadline_ms(message)
+        with trace_context.server_scope(trace, op):
+            results = service.compile_many(requests, deadline_ms=deadline_ms)
+        return {"results": [result.to_json() for result in results]}
+    if op == "cells":
+        cells = _mappings(message, "cells", op)
+        with trace_context.server_scope(trace, op):
+            results, cache = service.evaluate_cells(cells)
+        return {"results": results, "cache": cache}
+    if op == "stats":
+        return {"stats": service.stats()}
+    if op == "health":
+        return {"health": service.healthz()}
+    if op == "shutdown":
+        if shutdown is not None:
+            shutdown()
+        return {"shutdown": True}
+    raise ValueError(f"unknown op {op!r} (expected one of: {', '.join(OPS)})")
 
 
 def handle_line(
     service, line: "str | bytes", shutdown=None, token: "str | None" = None
 ) -> dict:
-    """Dispatch one protocol line against *service* and return the
-    response document.  Never raises: every failure mode — bad JSON, an
-    unknown op, a malformed request, a compile-time error — becomes an
+    """Answer one protocol line against *service* with its response
+    document.  Never raises: every failure mode — bad JSON, an unknown
+    op, a malformed request, a compile-time error — becomes an
     ``ok: false`` response so one poisoned line cannot kill a
-    connection.  *shutdown* is called (if given) after a ``shutdown``
-    op is acknowledged.  With *token* set, any line whose ``"token"``
-    field does not match is rejected before its op is looked at.
+    connection.  *shutdown* is passed to :func:`dispatch`.  With
+    *token* set, any line whose ``"token"`` field does not match is
+    rejected before its op is looked at.
     """
     try:
         message = json.loads(line)
@@ -152,56 +238,23 @@ def handle_line(
     request_id = message.get("id")
     if not check_token(message.get("token"), token):
         return error_response(request_id, UNAUTHORIZED)
-    op = message.get("op")
-    # The optional out-of-band "trace" envelope field: requests arriving
-    # with a (valid) propagated trace context are recorded under a
-    # server.<op> span whatever this daemon's own tracing switch says.
-    # Response bytes are unaffected — server_scope is a nullcontext when
-    # the field is absent or malformed.
     try:
-        if op == "compile":
-            request = message.get("request")
-            if not isinstance(request, dict):
-                raise ValueError("'compile' needs a 'request' mapping")
-            deadline_ms = parse_deadline_ms(message)
-            with trace_context.server_scope(message.get("trace"), op):
-                result = service.compile(request, deadline_ms=deadline_ms)
-            return ok_response(request_id, result=result.to_json())
-        if op == "compile_many":
-            requests = message.get("requests")
-            if not isinstance(requests, list) or not all(
-                isinstance(request, dict) for request in requests
-            ):
-                raise ValueError(
-                    "'compile_many' needs a 'requests' list of mappings"
-                )
-            deadline_ms = parse_deadline_ms(message)
-            with trace_context.server_scope(message.get("trace"), op):
-                results = service.compile_many(
-                    requests, deadline_ms=deadline_ms
-                )
-            return ok_response(
-                request_id, results=[result.to_json() for result in results]
-            )
-        if op == "cells":
-            cells = message.get("cells")
-            if not isinstance(cells, list) or not all(
-                isinstance(cell, dict) for cell in cells
-            ):
-                raise ValueError("'cells' needs a 'cells' list of mappings")
-            with trace_context.server_scope(message.get("trace"), op):
-                results, cache = service.evaluate_cells(cells)
-            return ok_response(request_id, results=results, cache=cache)
-        if op == "stats":
-            return ok_response(request_id, stats=service.stats())
-        if op == "health":
-            return ok_response(request_id, health=service.healthz())
-        if op == "shutdown":
-            if shutdown is not None:
-                shutdown()
-            return ok_response(request_id, shutdown=True)
-        raise ValueError(
-            f"unknown op {op!r} (expected one of: {', '.join(OPS)})"
-        )
+        payload = dispatch(service, message.get("op"), message, shutdown)
     except Exception as error:
         return error_response(request_id, error, kind=error_kind(error))
+    return {"id": request_id, "ok": True, **payload}
+
+
+def parse_tcp_address(value) -> tuple[str, int]:
+    """``"[HOST:]PORT"`` (or a bare int, or a ``(host, port)`` pair) →
+    ``(host, port)``; the host defaults to ``127.0.0.1``."""
+    if isinstance(value, tuple):
+        host, port = value
+        return str(host), int(port)
+    if isinstance(value, int):
+        return "127.0.0.1", value
+    host, _, port_text = str(value).rpartition(":")
+    try:
+        return host or "127.0.0.1", int(port_text)
+    except ValueError:
+        raise ValueError(f"bad TCP address {value!r}") from None

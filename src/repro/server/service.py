@@ -21,10 +21,11 @@ into the batch shape the pipeline is fastest at:
   through :meth:`Pipeline.compile_many` — so eight clients arriving
   together cost one batch, not eight independent compiles.  With
   ``jobs=1`` the batch compiles the graph ``submit()`` already parsed.
-* **In-flight coalescing.**  Requests are keyed by the same material the
-  memo/store layers use (:func:`repro.sched.cache.compile_request_key`:
-  DDG fingerprint, machine, scheduler, strategy, budget, options — plus
-  the loop name, which is part of the response document).  A request
+* **In-flight coalescing.**  Requests are keyed by
+  :meth:`Pipeline.request_key` — the material the memo/store layers use
+  (:func:`repro.sched.cache.compile_request_key`: DDG fingerprint,
+  machine, scheduler, strategy, budget, options) plus the loop name,
+  which is part of the response document.  A request
   whose key is already queued or executing does not enqueue again: it
   receives the in-flight computation's future, so identical concurrent
   requests schedule exactly once.
@@ -71,7 +72,6 @@ from repro.sched.cache import (
     STATS,
     CacheStats,
     caching_enabled,
-    compile_request_key,
     response_memo,
 )
 from repro.trace import context as trace_context
@@ -273,26 +273,6 @@ class CompileService:
         self.close()
 
     # ------------------------------------------------------------------
-    def _request_key(self, request: dict) -> tuple:
-        """``(key, ddg)``: the coalescing identity of *request* — the
-        memo/store key material plus the loop name (equal keys ⇒
-        byte-identical response documents) — and the graph parsed to
-        compute it."""
-        normalized = self.pipeline.normalize_request(request)
-        ddg = self.pipeline.ddg(normalized["loop"], normalized["name"])
-        key = (
-            normalized["name"],
-            *compile_request_key(
-                ddg,
-                normalized["machine"],
-                normalized["scheduler"],
-                normalized["strategy"],
-                normalized["registers"],
-                normalized["options"],
-            ),
-        )
-        return key, ddg
-
     def _memo_key(self, key: tuple) -> tuple:
         """The response-memo key: a verifying pipeline's documents
         differ (``verified``), so it never shares an entry with a plain
@@ -326,7 +306,7 @@ class CompileService:
         of occupying a batch slot.  A request the response memo holds
         is answered at once: the future it returns is already done.
         """
-        key, ddg = self._request_key(request)  # validates; may raise
+        key, ddg = self.pipeline.request_key(request)  # validates; may raise
         started = time.perf_counter()
         answer = self._answered(key)
         deadline = (
@@ -414,23 +394,11 @@ class CompileService:
         timeout: float | None = None,
         deadline_ms: float | None = None,
     ):
-        """:meth:`submit` and wait: one service-shaped result.
-
-        With *deadline_ms* the wait itself is bounded too, and a missed
-        deadline surfaces as :class:`ServiceTimeout`."""
-        future = self.submit(request, deadline_ms=deadline_ms)
-        if deadline_ms is not None and deadline_ms > 0:
-            wait = deadline_ms / 1000.0
-            timeout = wait if timeout is None else min(timeout, wait)
-        try:
-            return future.result(timeout=timeout)
-        except TimeoutError as error:
-            if isinstance(error, ServiceTimeout) or deadline_ms is None:
-                raise
-            self._count_timeout()
-            raise ServiceTimeout(
-                f"deadline of {deadline_ms:g} ms exceeded waiting for result"
-            ) from None
+        """:meth:`submit` and wait: one service-shaped result (see
+        :meth:`compile_many`)."""
+        return self.compile_many(
+            [request], timeout=timeout, deadline_ms=deadline_ms
+        )[0]
 
     def compile_many(
         self,
@@ -439,7 +407,10 @@ class CompileService:
         deadline_ms: float | None = None,
     ) -> list:
         """Submit a client batch and wait; results in request order.
-        Duplicates inside the batch coalesce onto one computation."""
+        Duplicates inside the batch coalesce onto one computation.
+
+        With *deadline_ms* the wait itself is bounded too, and a missed
+        deadline surfaces as :class:`ServiceTimeout`."""
         futures = [
             self.submit(request, deadline_ms=deadline_ms)
             for request in requests
@@ -454,17 +425,14 @@ class CompileService:
             except TimeoutError as error:
                 if isinstance(error, ServiceTimeout) or deadline_ms is None:
                     raise
-                self._count_timeout()
+                with self._lock:
+                    self.timeouts_total += 1
+                self.metrics.count("timeouts")
                 raise ServiceTimeout(
                     f"deadline of {deadline_ms:g} ms exceeded waiting "
-                    "for batch results"
+                    "for result"
                 ) from None
         return results
-
-    def _count_timeout(self) -> None:
-        with self._lock:
-            self.timeouts_total += 1
-        self.metrics.count("timeouts")
 
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:

@@ -56,7 +56,8 @@ from repro.server import (
     check_token,
     handle_line,
 )
-from repro.server.daemon import CompileHTTPServer, parse_tcp_address
+from repro.server.daemon import CompileHTTPServer
+from repro.server.protocol import parse_tcp_address
 from repro.workloads.suite import perfect_club_like_suite
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"

@@ -340,16 +340,21 @@ class TestProtocolKinds:
         )
         assert set(response) == {"id", "ok", "error"}
 
-    def test_bad_deadline_rejected(self):
+    @pytest.mark.parametrize(
+        "deadline", ["-5", "0", "Infinity", "NaN", "1e300"]
+    )
+    def test_bad_deadline_rejected(self, deadline):
         with CompileService(batch_window=0.0) as service:
             line = (
-                '{"id": 3, "op": "compile", "deadline_ms": -5,'
+                f'{{"id": 3, "op": "compile", "deadline_ms": {deadline},'
                 f' "request": {{"loop": "{FIG2}"}}}}'
             )
             response = handle_line(service, line)
             assert response["ok"] is False
             assert "deadline_ms" in response["error"]
             assert "kind" not in response
+            # rejected before the request reached the queue
+            assert service.requests_total == 0
 
 
 # ---------------------------------------------------------------------------

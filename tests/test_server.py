@@ -13,7 +13,9 @@ The contracts under test, in the order the ISSUE states them:
 * a request answered once is answered again from the ``response``
   memo before it queues, with a caller-owned, byte-identical document;
 * the client falls back to in-process compilation when no server is
-  reachable — with byte-identical results.
+  reachable — with byte-identical results;
+* the socket, TCP and HTTP transports answer every op with the same
+  documents and reject every bad request with the same client error.
 """
 
 from __future__ import annotations
@@ -30,19 +32,32 @@ from repro.client import (
     ClientError,
     HTTPClient,
     LocalClient,
+    ServerBusy,
+    ServerShuttingDown,
+    ServerTimeout,
     SocketClient,
+    client_for,
     connect,
 )
+from repro.eval.engine import cell_to_wire, run_cells, workload_cells
+from repro.machine.specs import resolve_machine
 from repro.sched import cache as sched_cache
 from repro.sched import store as sched_store
 from repro.server import (
     CompileHTTPServer,
     CompileService,
     LineSocketServer,
+    LineTCPServer,
     ServiceClosed,
     handle_line,
     serve_stdio,
 )
+from repro.server.service import (
+    ServiceBusy,
+    ServiceShuttingDown,
+    ServiceTimeout,
+)
+from repro.workloads.suite import perfect_club_like_suite
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"
 DOT = "s = s + x[i]*y[i]"
@@ -349,6 +364,188 @@ class TestHTTPDaemon:
             HTTPClient(url).compile(FIG2, machine="VAX")
         with pytest.raises(urllib.error.HTTPError):
             urllib.request.urlopen(f"{url}/nope", timeout=10)
+
+
+class TestHTTPFraming:
+    def test_negative_content_length_is_a_400(self, http_daemon):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", http_daemon.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /compile HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            # the daemon answers and closes the connection, rather than
+            # waiting for a body of unknown length
+            response = b"".join(iter(lambda: sock.recv(4096), b""))
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length must not be negative" in response
+
+    @pytest.mark.parametrize("header", ["-5", "0", "inf", "nan", "1e300"])
+    def test_out_of_range_deadline_header_is_a_400(self, http_daemon, header):
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{http_daemon.port}/compile",
+            data=json.dumps({"loop": fresh_loop()}).encode(),
+            headers={"X-Repro-Deadline-Ms": header},
+        )
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(request, timeout=30)
+        assert error.value.code == 400
+        document = json.loads(error.value.read())
+        assert document["error"].startswith("'deadline_ms' must be")
+        assert http_daemon.service.requests_total == 0
+
+
+# ======================================================================
+TOKEN = "secret"
+
+
+@pytest.fixture(params=["socket", "tcp", "http"])
+def wire_daemon(request, tmp_path):
+    """One token-authenticated daemon per transport: yields its client
+    address, its service and the event its shutdown sets."""
+    service = CompileService(batch_window=0.0)
+    stopped = threading.Event()
+    options = dict(stop=stopped.set, token=TOKEN)
+    if request.param == "socket":
+        address = str(tmp_path / "repro.sock")
+        server = LineSocketServer(address, service, **options)
+    elif request.param == "tcp":
+        server = LineTCPServer("127.0.0.1", 0, service, **options)
+        address = f"tcp://127.0.0.1:{server.port}"
+    else:
+        server = CompileHTTPServer(0, service, **options)
+        address = f"http://127.0.0.1:{server.port}"
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05},
+        daemon=True,
+    ).start()
+    yield address, service, stopped
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+#: Requests every transport must reject with a plain ClientError whose
+#: message matches.
+REJECTIONS = {
+    "unknown_strategy": (
+        lambda client: client.compile(FIG2, strategy="bogus"),
+        "unknown strategy",
+    ),
+    "non_mapping_items": (
+        lambda client: client._call("compile_many", requests=[1, 2]),
+        "'requests' list of mappings",
+    ),
+    "negative_deadline": (
+        lambda client: client.compile_request(
+            {"loop": FIG2}, deadline_ms=-5
+        ),
+        "'deadline_ms' must be a positive number",
+    ),
+    "infinite_deadline": (
+        lambda client: client.compile_request(
+            {"loop": FIG2}, deadline_ms=float("inf")
+        ),
+        "'deadline_ms' must be finite",
+    ),
+}
+
+
+class TestTransportParity:
+    """The same op gives the same answer on every transport: documents
+    byte-identical to in-process results, failures the same client
+    exception type."""
+
+    def test_compile_and_compile_many(self, wire_daemon):
+        address, _, _ = wire_daemon
+        expected = direct_documents(REQUEST_SET)
+        with client_for(address, token=TOKEN) as client:
+            assert [
+                client.compile_request(dict(r)).to_json_text()
+                for r in REQUEST_SET
+            ] == expected
+            assert [
+                r.to_json_text() for r in client.compile_many(REQUEST_SET)
+            ] == expected
+
+    def test_cells(self, wire_daemon):
+        address, _, _ = wire_daemon
+        cells = workload_cells(
+            "ideal", perfect_club_like_suite(size=3),
+            resolve_machine("P2L4"), budget=32,
+        )
+        local = {r.cell: r.data for r in run_cells(cells).results}
+        with client_for(address, token=TOKEN) as client:
+            results, cache = client.evaluate_cells(
+                [cell_to_wire(cell) for cell in cells]
+            )
+        assert json.dumps(results, sort_keys=True) == json.dumps(
+            [local[cell] for cell in cells], sort_keys=True
+        )
+        assert set(cache) == set(sched_cache.STATS.as_dict())
+
+    def test_health_and_stats(self, wire_daemon):
+        address, service, _ = wire_daemon
+        with client_for(address, token=TOKEN) as client:
+            client.compile(FIG2, registers=16)
+            health = client.healthz()
+            stats = client.stats()
+        # uptime moves between two reads; every other field must match
+        assert health == dict(
+            service.healthz(), uptime_seconds=health["uptime_seconds"]
+        )
+        assert stats["schema"] == "repro.server-stats/2"
+        assert set(stats) == set(service.stats())
+        assert stats["service"] == service.stats()["service"]
+
+    def test_shutdown_is_acknowledged_then_stops(self, wire_daemon):
+        address, _, stopped = wire_daemon
+        with client_for(address, token=TOKEN) as client:
+            assert client.shutdown() is None
+        assert stopped.wait(timeout=10)
+
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_rejections(self, wire_daemon, case):
+        address, service, _ = wire_daemon
+        call, message = REJECTIONS[case]
+        with client_for(address, token=TOKEN) as client:
+            with pytest.raises(ClientError, match=message) as error:
+                call(client)
+            assert type(error.value) is ClientError
+            # the connection survives the error response
+            assert client.healthz()["status"] == "ok"
+        assert service.requests_total == 0
+
+    def test_wrong_token(self, wire_daemon):
+        address, _, _ = wire_daemon
+        with client_for(address, token="wrong") as client:
+            with pytest.raises(ClientError, match="unauthorized") as error:
+                client.stats()
+        assert type(error.value) is ClientError
+
+    @pytest.mark.parametrize("failure, expected", [
+        (ServiceBusy("queue full"), ServerBusy),
+        (ServiceShuttingDown("draining"), ServerShuttingDown),
+        (ServiceTimeout("too slow"), ServerTimeout),
+    ])
+    def test_typed_failures(self, wire_daemon, monkeypatch, failure,
+                            expected):
+        address, service, _ = wire_daemon
+
+        def submit(request, deadline_ms=None):
+            raise failure
+
+        monkeypatch.setattr(service, "submit", submit)
+        with client_for(address, token=TOKEN) as client:
+            with pytest.raises(expected, match=str(failure)) as error:
+                client.compile(FIG2)
+        assert type(error.value) is expected
 
 
 # ======================================================================
