@@ -20,7 +20,7 @@ need them:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.ir.operations import (
     Opcode,
@@ -287,18 +287,43 @@ class DDG:
 
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "DDG":
+        """An independent clone at this graph's revision.
+
+        Edges are frozen and shared; nodes and invariants are copied (the
+        spiller rewrites ``Node.operands``).  In-edge lists are rebuilt by
+        walking the out-edges in node order, the order adding every edge
+        afresh would produce.  A content fingerprint and (while caching
+        is enabled) a compiled index still valid at this revision carry
+        over, so a clone that is never mutated never re-hashes or
+        re-indexes."""
         clone = DDG(name or self.name)
-        for node in self.nodes.values():
-            clone.add_node(
-                Node(node.name, node.opcode, list(node.operands), node.mem)
-            )
-        for edge in self.edges:
-            clone.add_edge(replace(edge))
-        for invariant in self.invariants.values():
-            inv = clone.add_invariant(invariant.name)
-            inv.consumers = set(invariant.consumers)
-            inv.spillable = invariant.spillable
+        clone.nodes = {
+            key: Node(node.name, node.opcode, list(node.operands), node.mem)
+            for key, node in self.nodes.items()
+        }
+        clone._out = {key: list(edges) for key, edges in self._out.items()}
+        incoming: dict[str, list[Edge]] = {key: [] for key in self.nodes}
+        for edges in self._out.values():
+            for edge in edges:
+                incoming[edge.dst].append(edge)
+        clone._in = incoming
+        clone.invariants = {
+            key: Invariant(inv.name, set(inv.consumers), inv.spillable)
+            for key, inv in self.invariants.items()
+        }
         clone.live_out = set(self.live_out)
+        clone.revision = self.revision
+        fingerprint = getattr(self, "_fingerprint", None)
+        if fingerprint is not None and fingerprint[0] == self.revision:
+            clone._fingerprint = fingerprint
+        index = getattr(self, "_index", None)
+        if index is not None and index[0] == self.revision:
+            # Instances share an index only while caching is enabled,
+            # as :func:`repro.graph.index.get_index` does.
+            from repro.sched.cache import caching_enabled
+
+            if caching_enabled():
+                clone._index = index
         return clone
 
     def validate(self) -> None:

@@ -22,13 +22,16 @@ from its set of feasible slots rather than by testing slots one by one:
 OR-ing the occupancy word with its rotations by ``1..L-1`` (``log L``
 doublings) marks every start whose arc would overlap, and AND-ing its
 complement with the comb of the value's ``R`` candidate starts leaves
-every feasible slot at once.  Only those slots get a gap evaluation, and
-only when none sits right behind an occupied cell (gap 0).  The per-cell
-scans of the original implementation are kept as
-:func:`allocate_registers_reference`, the property-test oracle.  Both
-paths count their probes into ``WORK.alloc_probes`` — cells touched by
-the reference; one window test per value plus one per gap evaluation
-here — which is what the allocation CI gate compares.
+every feasible slot at once.  When none sits right behind an occupied
+cell (gap 0), the smallest gap is found without visiting the slots:
+masks of "an occupied cell at most ``2**k`` cells behind" double until
+one marks a feasible slot, then binary lifting narrows the bound to the
+exact smallest gap.  The per-cell scans of the original implementation
+are kept as :func:`allocate_registers_reference`, the property-test
+oracle.  Both paths count their probes into ``WORK.alloc_probes`` —
+cells touched by the reference; one window test per value plus one per
+lifting step (each doubling and each lift back down) here — which is
+what the allocation CI gate compares.
 
 Loop-invariants live in ordinary (static) registers: one each, added on
 top of the rotating allocation by :mod:`repro.lifetimes.requirements`.
@@ -175,10 +178,9 @@ def _try_allocate(
     occupied cell, so the feasible positions are the comb of the value's
     candidate starts minus ``window``.  The first feasible position in
     slot order that sits right behind an occupied cell (gap 0) wins;
-    failing that, the gap behind each feasible position — the free run
-    back to the previous occupied cell — is evaluated in slot order with
-    strict-< first-wins.  That is the reference scan's choice, slot for
-    slot.
+    failing that, the first one in slot order with the smallest gap —
+    the free run back to the previous occupied cell — wins.  That is the
+    reference scan's strict-< first-wins choice, slot for slot.
     """
     circumference = registers * ii
     full = (1 << circumference) - 1
@@ -207,30 +209,44 @@ def _try_allocate(
             return None
         # Zero-gap positions; on an empty circle every gap is the whole
         # circle, so the first feasible slot wins as if tied at zero.
-        tied = feasible
+        pool = feasible
         if occupied:
-            tied &= (occupied << 1) | (occupied >> (circumference - 1))
-        # Slot order runs from ``origin`` up, then wraps to the low bits.
-        pool = tied or feasible
-        upper = pool >> origin << origin
-        best = -1
-        best_gap = circumference + 1
-        for bits in (upper, pool ^ upper):
-            while bits and best_gap:
-                low = bits & -bits
-                bits ^= low
-                position = low.bit_length() - 1
-                if tied:
-                    gap = 0
-                else:
+            behind = (occupied << 1 | occupied >> (circumference - 1)) & full
+            if not feasible & behind:
+                # No gap is 0.  ``lifts[k]`` marks every cell with an
+                # occupied cell 1..2**k behind it (gap < 2**k); double
+                # until some feasible slot is marked, then lift back
+                # down to the smallest gap.
+                lifts = [behind]
+                while not feasible & lifts[-1]:
                     probes += 1
-                    behind = occupied & ((1 << position) - 1)
-                    if behind:
-                        gap = position - behind.bit_length()
-                    else:  # wrap: the free run continues at the top
-                        gap = position + circumference - occupied.bit_length()
-                if gap < best_gap:
-                    best, best_gap = position, gap
+                    span = 1 << (len(lifts) - 1)
+                    mask = lifts[-1]
+                    lifts.append(
+                        (mask | mask << span | mask >> (circumference - span))
+                        & full
+                    )
+                gap = 1 << (len(lifts) - 2)
+                reach = lifts[-2]
+                for level in range(len(lifts) - 3, -1, -1):
+                    probes += 1
+                    mask = lifts[level]
+                    trial = reach | (
+                        (mask << gap | mask >> (circumference - gap)) & full
+                    )
+                    if not feasible & trial:
+                        reach = trial
+                        gap += 1 << level
+                # cells whose nearest occupied cell behind is gap + 1 away
+                shift = gap + 1
+                behind = (
+                    occupied << shift | occupied >> (circumference - shift)
+                ) & full
+            pool = feasible & behind
+        # Slot order runs from ``origin`` up, then wraps to the low bits.
+        upper = pool >> origin << origin
+        first = upper or pool
+        best = (first & -first).bit_length() - 1
         shifted = ((1 << length) - 1) << best
         occupied |= (shifted | (shifted >> circumference)) & full
         placement[values[j]] = (best - origin) % circumference // ii

@@ -14,6 +14,11 @@ language through this module:
 * an explicit :class:`~repro.machine.machine.MachineConfig` instance is
   passed through unchanged.
 
+A paper configuration resolves to one shared instance per process, so
+the per-instance memo key (:func:`repro.sched.cache.machine_key`) is
+built once rather than once per sweep cell.  Machines are frozen; treat
+their tables as read-only.
+
 :func:`machine_spec` is the inverse: a string a worker process (or a
 JSON document) can resolve back into an equal configuration.
 """
@@ -35,6 +40,9 @@ PAPER_MACHINES = {"P1L4": p1l4, "P2L4": p2l4, "P2L6": p2l6}
 
 _GENERIC_NAME = re.compile(r"^G(\d+)L(\d+)$")
 
+#: One resolved instance per paper configuration.
+_SHARED: dict[str, MachineConfig] = {}
+
 
 def machine_names() -> list[str]:
     """The named machine specs, for help text and error messages."""
@@ -54,8 +62,12 @@ def resolve_machine(spec: str | MachineConfig) -> MachineConfig:
             f"machine spec must be a string or MachineConfig, not"
             f" {type(spec).__name__}"
         )
-    if spec.upper() in PAPER_MACHINES:
-        return PAPER_MACHINES[spec.upper()]()
+    name = spec.upper()
+    if name in PAPER_MACHINES:
+        machine = _SHARED.get(name)
+        if machine is None:
+            machine = _SHARED[name] = PAPER_MACHINES[name]()
+        return machine
     named = _GENERIC_NAME.match(spec)
     if named:
         return generic_machine(int(named.group(1)), int(named.group(2)))

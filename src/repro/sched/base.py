@@ -5,7 +5,9 @@ until one works (paper Figure 1).  Concrete schedulers implement a single
 attempt at a fixed II; this base class owns the search, the effort
 accounting that Figure 8c reports (scheduling time is dominated by failed
 attempts), and the ``min_ii`` hook the *last-II-tried* acceleration of
-Section 4.5 uses to skip doomed IIs.
+Section 4.5 uses to skip doomed IIs.  What an attempt needs that does not
+depend on II (latencies, fused units, each unit's external dependences)
+is planned once per search and handed to every attempt.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.sched.cache import cached_mii
+from repro.sched.groups import Plan, plan_units
 from repro.sched.schedule import Schedule
 
 
@@ -40,6 +43,16 @@ class Effort:
         self.attempts += other.attempts
 
 
+@dataclass
+class SearchEffort(Effort):
+    """What one II search hands each of its attempts: the search's
+    effort counters and its :class:`~repro.sched.groups.Plan`.  Created
+    per :meth:`ModuloScheduler.schedule` / ``try_schedule_at`` call, so
+    the plan ends with the search."""
+
+    plan: Plan | None = None
+
+
 class ModuloScheduler(abc.ABC):
     """Base class: II search + effort accounting."""
 
@@ -47,10 +60,14 @@ class ModuloScheduler(abc.ABC):
 
     @abc.abstractmethod
     def _attempt(
-        self, ddg: DDG, machine: MachineConfig, ii: int, effort: Effort
+        self, ddg: DDG, machine: MachineConfig, ii: int, effort: SearchEffort
     ) -> dict[str, int] | None:
-        """Try to build a schedule at exactly *ii*; return start times or
-        ``None`` on failure."""
+        """Try to build a schedule at exactly *ii* from the search's
+        ``effort.plan``; return start times or ``None`` on failure."""
+
+    def _plan(self, ddg: DDG, machine: MachineConfig) -> Plan:
+        """The II-independent facts every attempt of one search shares."""
+        return plan_units(ddg, machine.latencies_for(ddg))
 
     # ------------------------------------------------------------------
     def try_schedule_at(
@@ -58,7 +75,7 @@ class ModuloScheduler(abc.ABC):
     ) -> Schedule | None:
         """One attempt at a fixed II (used by the II-increase driver and
         the combined method's binary search)."""
-        effort = Effort(attempts=1)
+        effort = SearchEffort(attempts=1, plan=self._plan(ddg, machine))
         times = self._attempt(ddg, machine, ii, effort)
         if times is None:
             return None
@@ -90,7 +107,7 @@ class ModuloScheduler(abc.ABC):
         start = max(mii, min_ii or 1)
         if max_ii is None:
             max_ii = start + _search_window(ddg, machine)
-        effort = Effort()
+        effort = SearchEffort(plan=self._plan(ddg, machine))
         for ii in range(start, max_ii + 1):
             effort.attempts += 1
             times = self._attempt(ddg, machine, ii, effort)

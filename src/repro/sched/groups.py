@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.graph.analysis import edge_latency
 from repro.graph.ddg import DDG
 from repro.machine.mrt import Fit, ModuloReservationTable
+from repro.sched.ordering import OrderPlan
 
 
 @dataclass
@@ -92,75 +93,109 @@ def _group_offsets(
 
 
 # ----------------------------------------------------------------------
-def unit_internally_schedulable(
-    unit: Unit, ddg: DDG, latencies: dict[str, int], ii: int
-) -> bool:
-    """Check the dependences *between* members against the fixed offsets.
+#: A unit's external dependences: ``(node, lag, distance)`` triples.
+Deps = tuple[tuple[str, int, int], ...]
 
-    Fused edges hold by construction; other intra-unit edges (e.g. the
-    original producer→store edge kept by the consumer-is-store
-    optimization) must also be satisfied at this II.
+
+@dataclass
+class Plan:
+    """The II-independent facts one II search needs, computed once per
+    :meth:`~repro.sched.base.ModuloScheduler.schedule` (or
+    ``try_schedule_at``) call and passed to every attempt.
+
+    ``inputs``/``outputs`` hold each unit's external dependences, keyed
+    by leader, as ``(node, lag, distance)``: a leader start ``t`` needs
+    ``t >= times[node] + lag - II * distance`` for an input (``lag`` is
+    the edge latency minus the member's offset) and ``t <= times[node]
+    - lag + II * distance`` for an output (latency plus offset).
+    ``min_ii`` is the smallest II at which every unit's internal
+    non-fused dependences (e.g. the producer→store edge the
+    consumer-is-store optimization keeps) hold at the fixed offsets,
+    ``None`` when none does (a violated distance-0 edge, or inconsistent
+    fused offsets).
+
+    A plan lives for one search only: it travels in the search's
+    :class:`~repro.sched.base.SearchEffort`, never attached to the
+    graph, its index or a latency view.
     """
-    for member in unit.members:
-        for edge in ddg.iter_out_edges(member):
-            if edge.dst not in unit.members or edge.fused:
-                continue
-            slack = (
-                unit.members[edge.dst]
-                + ii * edge.distance
-                - unit.members[edge.src]
-                - edge_latency(edge, latencies)
-            )
-            if slack < 0:
-                return False
-    return True
+
+    latencies: dict[str, int]
+    units: dict[str, Unit]
+    leaders: dict[str, Unit]
+    min_ii: int | None
+    inputs: dict[str, Deps]
+    outputs: dict[str, Deps]
+    #: HRMS-family schedulers add the ordering's inputs.
+    ordering: OrderPlan | None = None
+
+
+def plan_units(ddg: DDG, latencies: dict[str, int]) -> Plan:
+    """Build the :class:`Plan` of *ddg* under *latencies*."""
+    try:
+        units = build_units(ddg, latencies)
+    except ValueError:
+        return Plan(latencies, {}, {}, None, {}, {})
+    leaders: dict[str, Unit] = {}
+    for unit in units.values():
+        leaders[unit.leader] = unit
+    min_ii: int | None = 1
+    inputs: dict[str, Deps] = {}
+    outputs: dict[str, Deps] = {}
+    for leader, unit in leaders.items():
+        members = unit.members
+        unit_in: list[tuple[str, int, int]] = []
+        unit_out: list[tuple[str, int, int]] = []
+        for member, offset in unit:
+            for edge in ddg.iter_in_edges(member):
+                if edge.src not in members:
+                    unit_in.append((
+                        edge.src,
+                        edge_latency(edge, latencies) - offset,
+                        edge.distance,
+                    ))
+            for edge in ddg.iter_out_edges(member):
+                latency = edge_latency(edge, latencies)
+                if edge.dst not in members:
+                    unit_out.append((edge.dst, latency + offset, edge.distance))
+                    continue
+                if edge.fused or min_ii is None:
+                    continue
+                # An internal edge needs members[dst] + II * distance
+                # - offset - latency >= 0 (fused edges hold by
+                # construction).
+                excess = latency + offset - members[edge.dst]
+                if edge.distance:
+                    min_ii = max(min_ii, -(-excess // edge.distance))
+                elif excess > 0:
+                    min_ii = None
+        inputs[leader] = tuple(unit_in)
+        outputs[leader] = tuple(unit_out)
+    return Plan(latencies, units, leaders, min_ii, inputs, outputs)
 
 
 def earliest_start(
-    unit: Unit,
-    ddg: DDG,
-    latencies: dict[str, int],
-    ii: int,
-    times: dict[str, int],
+    plan: Plan, unit: Unit, ii: int, times: dict[str, int]
 ) -> int | None:
     """Earliest leader start allowed by already-scheduled predecessors
     outside the unit; ``None`` when no external predecessor is scheduled."""
     bound: int | None = None
-    for member, offset in unit:
-        for edge in ddg.iter_in_edges(member):
-            if edge.src not in times or edge.src in unit.members:
-                continue
-            candidate = (
-                times[edge.src]
-                + edge_latency(edge, latencies)
-                - ii * edge.distance
-                - offset
-            )
+    for node, lag, distance in plan.inputs[unit.leader]:
+        if node in times:
+            candidate = times[node] + lag - ii * distance
             if bound is None or candidate > bound:
                 bound = candidate
     return bound
 
 
 def latest_start(
-    unit: Unit,
-    ddg: DDG,
-    latencies: dict[str, int],
-    ii: int,
-    times: dict[str, int],
+    plan: Plan, unit: Unit, ii: int, times: dict[str, int]
 ) -> int | None:
     """Latest leader start allowed by already-scheduled successors outside
     the unit; ``None`` when no external successor is scheduled."""
     bound: int | None = None
-    for member, offset in unit:
-        for edge in ddg.iter_out_edges(member):
-            if edge.dst not in times or edge.dst in unit.members:
-                continue
-            candidate = (
-                times[edge.dst]
-                - edge_latency(edge, latencies)
-                + ii * edge.distance
-                - offset
-            )
+    for node, lag, distance in plan.outputs[unit.leader]:
+        if node in times:
+            candidate = times[node] - lag + ii * distance
             if bound is None or candidate < bound:
                 bound = candidate
     return bound

@@ -23,16 +23,15 @@ from repro.graph.analysis import asap_alap
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.machine.mrt import ModuloReservationTable
-from repro.sched.base import Effort, ModuloScheduler
+from repro.sched.base import Effort, ModuloScheduler, SearchEffort
 from repro.sched.groups import (
+    Plan,
     Unit,
-    build_units,
     earliest_start,
     latest_start,
     try_place_unit,
-    unit_internally_schedulable,
 )
-from repro.sched.ordering import order_nodes
+from repro.sched.ordering import order_nodes, plan_order
 
 
 class HRMSScheduler(ModuloScheduler):
@@ -40,30 +39,28 @@ class HRMSScheduler(ModuloScheduler):
 
     name = "HRMS"
 
+    def _plan(self, ddg: DDG, machine: MachineConfig) -> Plan:
+        plan = super()._plan(ddg, machine)
+        plan.ordering = plan_order(ddg, plan.latencies)
+        return plan
+
     def _attempt(
-        self, ddg: DDG, machine: MachineConfig, ii: int, effort: Effort
+        self, ddg: DDG, machine: MachineConfig, ii: int, effort: SearchEffort
     ) -> dict[str, int] | None:
         if not ddg.nodes:
             return {}
-        latencies = machine.latencies_for(ddg)
+        plan = effort.plan
+        latencies = plan.latencies
         try:
             depth, alap = asap_alap(ddg, latencies, ii)
         except ValueError:
             return None  # ii below RecMII
-        try:
-            units = build_units(ddg, latencies)
-        except ValueError:
-            return None
-        seen_leaders: set[str] = set()
-        for unit in units.values():
-            if unit.leader in seen_leaders:
-                continue
-            seen_leaders.add(unit.leader)
-            if not unit_internally_schedulable(unit, ddg, latencies, ii):
-                return None
+        if plan.min_ii is None or ii < plan.min_ii:
+            return None  # fused offsets violate an internal dependence
 
-        order = order_nodes(ddg, latencies, ii, depth, alap)
+        order = order_nodes(ddg, latencies, ii, depth, alap, plan.ordering)
         mrt = ModuloReservationTable(machine, ii)
+        units = plan.units
         times: dict[str, int] = {}
         done: set[str] = set()
 
@@ -71,7 +68,7 @@ class HRMSScheduler(ModuloScheduler):
             unit = units[name]
             if unit.leader in done:
                 continue
-            window = self._window(unit, ddg, latencies, ii, times, depth)
+            window = self._window(unit, plan, ii, times, depth)
             placed_at = self._scan(mrt, ddg, unit, window, effort)
             if placed_at is None:
                 return None
@@ -84,15 +81,14 @@ class HRMSScheduler(ModuloScheduler):
     def _window(
         self,
         unit: Unit,
-        ddg: DDG,
-        latencies: dict[str, int],
+        plan: Plan,
         ii: int,
         times: dict[str, int],
         depth: dict[str, int],
     ) -> range:
         """Candidate leader cycles, ordered toward the placed neighbours."""
-        est = earliest_start(unit, ddg, latencies, ii, times)
-        lst = latest_start(unit, ddg, latencies, ii, times)
+        est = earliest_start(plan, unit, ii, times)
+        lst = latest_start(plan, unit, ii, times)
         if est is not None and lst is not None:
             return range(est, min(lst, est + ii - 1) + 1)
         if est is not None:

@@ -21,14 +21,13 @@ from repro.graph.analysis import edge_latency, longest_path_lengths
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.machine.mrt import ModuloReservationTable
-from repro.sched.base import Effort, ModuloScheduler
+from repro.sched.base import Effort, ModuloScheduler, SearchEffort
 from repro.sched.groups import (
+    Plan,
     Unit,
-    build_units,
     earliest_start,
     remove_unit,
     try_place_unit,
-    unit_internally_schedulable,
 )
 
 
@@ -41,26 +40,20 @@ class IMSScheduler(ModuloScheduler):
         self.budget_ratio = budget_ratio
 
     def _attempt(
-        self, ddg: DDG, machine: MachineConfig, ii: int, effort: Effort
+        self, ddg: DDG, machine: MachineConfig, ii: int, effort: SearchEffort
     ) -> dict[str, int] | None:
         if not ddg.nodes:
             return {}
-        latencies = machine.latencies_for(ddg)
+        plan = effort.plan
+        latencies = plan.latencies
         try:
             height = longest_path_lengths(ddg, latencies, ii, reverse=True)
         except ValueError:
             return None  # ii below RecMII
-        try:
-            units = build_units(ddg, latencies)
-        except ValueError:
-            return None
-
-        distinct: dict[str, Unit] = {}
-        for unit in units.values():
-            distinct[unit.leader] = unit
-        for unit in distinct.values():
-            if not unit_internally_schedulable(unit, ddg, latencies, ii):
-                return None
+        if plan.min_ii is None or ii < plan.min_ii:
+            return None  # fused offsets violate an internal dependence
+        units = plan.units
+        distinct = plan.leaders
 
         def priority(unit: Unit) -> int:
             return max(height[m] for m in unit.members)
@@ -82,7 +75,7 @@ class IMSScheduler(ModuloScheduler):
             budget -= 1
             _, _, leader = heapq.heappop(queue)
             unit = distinct[leader]
-            est = earliest_start(unit, ddg, latencies, ii, times)
+            est = earliest_start(plan, unit, ii, times)
             est = max(est if est is not None else 0, 0)
 
             slot = self._scan(mrt, ddg, unit, est, ii, effort)

@@ -21,6 +21,8 @@ Scheduling work):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.graph.analysis import asap_alap
 from repro.graph.ddg import DDG
 from repro.graph.index import get_index
@@ -60,41 +62,72 @@ def partition_sets(ddg: DDG, latencies: dict[str, int]) -> list[set[str]]:
     return sets
 
 
+@dataclass(frozen=True)
+class OrderPlan:
+    """The II-independent inputs of :func:`order_nodes`: each node's
+    predecessor and successor names and the :func:`partition_sets`
+    partition.  Built once per II search (see
+    :class:`repro.sched.groups.Plan`)."""
+
+    preds: dict[str, set[str]]
+    succs: dict[str, set[str]]
+    sets: list[set[str]]
+
+
+def plan_order(ddg: DDG, latencies: dict[str, int]) -> OrderPlan:
+    """Build the :class:`OrderPlan` of *ddg* under *latencies*."""
+    return OrderPlan(
+        preds={name: ddg.predecessors(name) for name in ddg.nodes},
+        succs={name: ddg.successors(name) for name in ddg.nodes},
+        sets=partition_sets(ddg, latencies),
+    )
+
+
 def order_nodes(
     ddg: DDG,
     latencies: dict[str, int],
     ii: int,
     depth: dict[str, int] | None = None,
     alap: dict[str, int] | None = None,
+    plan: OrderPlan | None = None,
 ) -> list[str]:
-    """Scheduling order with the one-sided-neighbour property (step 2)."""
+    """Scheduling order with the one-sided-neighbour property (step 2).
+
+    Readiness is tracked incrementally: ``pred_done`` holds every node
+    with an ordered predecessor and ``succ_done`` every node with an
+    ordered successor, each grown as a node is ordered, so the ready sets
+    are intersections rather than scans.  The priority keys are total
+    orders (the name breaks every tie), so the order does not depend on
+    set iteration order.
+    """
     if depth is None or alap is None:
         depth, alap = asap_alap(ddg, latencies, ii)
+    if plan is None:
+        plan = plan_order(ddg, latencies)
+    preds, succs = plan.preds, plan.succs
     span = max(alap.values(), default=0)
-    height = {name: span - alap[name] for name in ddg.nodes}
-    mobility = {name: alap[name] - depth[name] for name in ddg.nodes}
-    preds = {name: ddg.predecessors(name) for name in ddg.nodes}
-    succs = {name: ddg.successors(name) for name in ddg.nodes}
+    # top-down: highest height first; bottom-up: highest depth first;
+    # both then lowest mobility, then name.
+    top_down = {
+        name: (span - alap[name], depth[name] - alap[name], name)
+        for name in ddg.nodes
+    }
+    bottom_up = {
+        name: (depth[name], depth[name] - alap[name], name)
+        for name in ddg.nodes
+    }
 
     order: list[str] = []
     ordered: set[str] = set()
+    pred_done: set[str] = set()
+    succ_done: set[str] = set()
 
-    def top_down_key(name: str) -> tuple:
-        return (height[name], -mobility[name], name)
-
-    def bottom_up_key(name: str) -> tuple:
-        return (depth[name], -mobility[name], name)
-
-    for subset in partition_sets(ddg, latencies):
-        pending = set(subset) - ordered
+    for subset in plan.sets:
+        pending = subset - ordered
         direction = "top-down"
         while pending:
-            pred_ready = {
-                name for name in pending if not preds[name].isdisjoint(ordered)
-            }
-            succ_ready = {
-                name for name in pending if not succs[name].isdisjoint(ordered)
-            }
+            pred_ready = pending & pred_done
+            succ_ready = pending & succ_done
             if direction == "top-down" and pred_ready:
                 frontier = pred_ready
             elif direction == "bottom-up" and succ_ready:
@@ -106,7 +139,10 @@ def order_nodes(
             else:
                 # disconnected seed: start top-down from the most critical
                 direction = "top-down"
-                frontier = {max(pending, key=top_down_key)}
+                frontier = {max(pending, key=top_down.__getitem__)}
+            key = (
+                top_down if direction == "top-down" else bottom_up
+            ).__getitem__
             while frontier:
                 frontier &= pending  # drop nodes ordered via another path
                 if not frontier:
@@ -114,21 +150,14 @@ def order_nodes(
                 # Prefer candidates with ordered neighbours on one side only
                 # (the HRMS property); fall back to the rest when a node is
                 # genuinely trapped between ordered nodes.
-                clean = {
-                    name
-                    for name in frontier
-                    if preds[name].isdisjoint(ordered)
-                    or succs[name].isdisjoint(ordered)
-                }
-                pool = clean or frontier
-                if direction == "top-down":
-                    name = max(pool, key=top_down_key)
-                else:
-                    name = max(pool, key=bottom_up_key)
+                pool = (frontier - pred_done) | (frontier - succ_done)
+                name = max(pool or frontier, key=key)
                 order.append(name)
                 ordered.add(name)
                 pending.discard(name)
                 frontier.discard(name)
+                pred_done |= succs[name]
+                succ_done |= preds[name]
                 if direction == "top-down":
                     frontier |= succs[name] & pending
                 else:

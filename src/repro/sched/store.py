@@ -133,7 +133,11 @@ class ScheduleStore:
                     return pickle.loads(hit)
                 except Exception:
                     return None
-        path = self.path_for(namespace, key)
+        return self.load(self.path_for(namespace, key))
+
+    def load(self, path: Path):
+        """The value in entry file *path* (see :meth:`entries`), or
+        ``None`` when it is missing, damaged or of another version."""
         try:
             blob = path.read_bytes()
         except OSError:

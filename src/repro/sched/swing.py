@@ -53,11 +53,10 @@ class SwingScheduler(HRMSScheduler):
         return best_slot
 
     # ------------------------------------------------------------------
-    def _window(self, unit, ddg, latencies, ii, times, depth):
-        self._latencies = latencies
+    def _window(self, unit, plan, ii, times, depth):
         self._ii = ii
         self._times = times
-        return super()._window(unit, ddg, latencies, ii, times, depth)
+        return super()._window(unit, plan, ii, times, depth)
 
     def _lifetime_cost(self, ddg: DDG, unit: Unit, leader_time: int) -> int:
         """Total stretch of register lifetimes between the unit and its

@@ -1,9 +1,13 @@
 """Unit tests for the dependence-graph data structure."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.graph.ddg import DDG, DepKind, Edge, EdgeKind, Node
+from repro.graph.index import get_index
 from repro.ir.operations import Opcode
+from repro.sched.cache import ddg_fingerprint
 
 
 def small_graph():
@@ -129,6 +133,146 @@ class TestCopy:
         assert copied.distance == 3
         assert not copied.spillable
         assert copied.fused
+
+
+def replayed_copy(ddg):
+    """The clone adding every node, edge and invariant afresh would give:
+    the parity oracle of :meth:`DDG.copy`."""
+    clone = DDG(ddg.name)
+    for node in ddg.nodes.values():
+        clone.add_node(
+            Node(node.name, node.opcode, list(node.operands), node.mem)
+        )
+    for edge in ddg.edges:
+        clone.add_edge(replace(edge))
+    for invariant in ddg.invariants.values():
+        inv = clone.add_invariant(invariant.name)
+        inv.consumers = set(invariant.consumers)
+        inv.spillable = invariant.spillable
+    clone.live_out = set(ddg.live_out)
+    return clone
+
+
+@pytest.fixture(scope="module")
+def spilled_graphs():
+    """Graphs rewritten in place: spilled by the spiller, then with
+    edges re-added in reverse (as the perturbation harness re-adds the
+    edges it jitters), so in-edge lists are no longer in the order a
+    replay gives."""
+    from repro.core.spill import apply_spill
+    from repro.lifetimes.lifetime import variant_lifetimes
+    from repro.machine import p1l4
+    from repro.sched import HRMSScheduler
+    from repro.workloads import random_suite
+
+    graphs = []
+    for workload in random_suite(size=12, seed=7331):
+        ddg = workload.ddg.copy()
+        schedule = HRMSScheduler().schedule(ddg, p1l4())
+        lifetimes = sorted(
+            (lt for lt in variant_lifetimes(schedule) if lt.spillable),
+            key=lambda lt: (-lt.length, lt.value),
+        )
+        for lifetime in lifetimes[:2]:
+            apply_spill(ddg, lifetime)
+        graphs.append(ddg)
+        jittered = ddg.copy()
+        for edge in reversed(jittered.edges[::3]):
+            jittered.remove_edge(edge)
+            jittered.add_edge(replace(edge, distance=edge.distance + 1))
+        graphs.append(jittered)
+    return graphs
+
+
+def adjacency(ddg):
+    return (
+        list(ddg.nodes),
+        {name: list(edges) for name, edges in ddg._out.items()},
+        {name: list(edges) for name, edges in ddg._in.items()},
+    )
+
+
+class TestCopyParity:
+    def test_orders_match_the_replay(self, spilled_graphs):
+        reordered = 0
+        for ddg in spilled_graphs:
+            clone, replay = ddg.copy(), replayed_copy(ddg)
+            assert adjacency(clone) == adjacency(replay)
+            assert clone.invariants == replay.invariants
+            assert clone.live_out == replay.live_out
+            assert [n.operands for n in clone.nodes.values()] == [
+                n.operands for n in replay.nodes.values()
+            ]
+            reordered += adjacency(ddg)[2] != adjacency(replay)[2]
+        # the fixture really exercises the in-edge rebuild
+        assert reordered
+
+    def test_edges_shared_nodes_and_invariants_not(self, spilled_graphs):
+        ddg = replayed_copy(spilled_graphs[0])
+        ddg.add_invariant("k", consumer=next(iter(ddg.nodes)))
+        clone = ddg.copy()
+        for name in ddg.nodes:
+            assert all(
+                a is b for a, b in zip(clone._out[name], ddg._out[name])
+            )
+            assert clone.nodes[name] is not ddg.nodes[name]
+            assert clone._out[name] is not ddg._out[name]
+            assert clone._in[name] is not ddg._in[name]
+        assert clone.invariants["k"] is not ddg.invariants["k"]
+        assert clone.invariants["k"].consumers is not ddg.invariants["k"].consumers
+
+    def test_fingerprint_and_index_inherited_at_equal_revision(self):
+        ddg = small_graph()
+        fingerprint, index = ddg_fingerprint(ddg), get_index(ddg)
+        clone = ddg.copy("renamed")
+        assert clone.revision == ddg.revision
+        assert clone._fingerprint == (ddg.revision, fingerprint)
+        assert get_index(clone) is index
+        assert ddg_fingerprint(clone) == ddg_fingerprint(replayed_copy(ddg))
+
+    def test_index_not_shared_while_caching_is_disabled(self):
+        from repro.sched import cache as sched_cache
+
+        ddg = small_graph()
+        fingerprint = ddg_fingerprint(ddg)
+        with sched_cache.disabled():
+            index = get_index(ddg)
+            clone = ddg.copy()
+            assert clone._fingerprint == (ddg.revision, fingerprint)
+            assert getattr(clone, "_index", None) is None
+            assert get_index(clone) is not index
+
+    def test_stale_derived_state_not_inherited(self):
+        ddg = small_graph()
+        ddg_fingerprint(ddg)
+        get_index(ddg)
+        ddg.add_node(Node("extra", Opcode.ADD))
+        clone = ddg.copy()
+        assert getattr(clone, "_fingerprint", None) is None
+        assert getattr(clone, "_index", None) is None
+        assert ddg_fingerprint(clone) == ddg_fingerprint(replayed_copy(ddg))
+
+    @pytest.mark.parametrize("mutated", ["original", "clone"])
+    def test_mutating_one_side_leaves_the_other_intact(self, mutated):
+        ddg = small_graph()
+        ddg.add_invariant("k", consumer="mul")
+        fingerprint, index = ddg_fingerprint(ddg), get_index(ddg)
+        clone = ddg.copy()
+        before = adjacency(ddg)
+        target, other = (ddg, clone) if mutated == "original" else (clone, ddg)
+        target.remove_edge(target.out_edges("ld")[0])
+        target.add_edge(Edge("ld", "st", EdgeKind.MEM, DepKind.ANTI, 1))
+        target.nodes["mul"].operands.append("k")
+        target.invariants["k"].consumers.add("st")
+        target.live_out.add("mul")
+        assert adjacency(other) == before
+        assert other.nodes["mul"].operands == ["ld"]
+        assert other.invariants["k"].consumers == {"mul"}
+        assert other.live_out == set()
+        assert ddg_fingerprint(other) == fingerprint
+        assert get_index(other) is index
+        assert ddg_fingerprint(target) != fingerprint
+        assert get_index(target) is not index
 
 
 class TestValidate:

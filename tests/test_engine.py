@@ -49,6 +49,14 @@ class TestMachineSpecs:
         with pytest.raises(ValueError):
             resolve_machine("vax780")
 
+    def test_paper_spec_resolves_to_one_shared_instance(self):
+        machine = resolve_machine("p1l4")
+        assert machine is resolve_machine("P1L4")
+        assert machine == p1l4()
+        # the memo key is built once per instance, not once per lookup
+        key = sched_cache.machine_key(machine)
+        assert sched_cache.machine_key(resolve_machine("P1L4")) is key
+
 
 class TestCellEvaluation:
     def test_ideal_cell(self, tiny_suite):

@@ -9,9 +9,9 @@ from repro.sched.groups import (
     build_units,
     earliest_start,
     latest_start,
+    plan_units,
     remove_unit,
     try_place_unit,
-    unit_internally_schedulable,
 )
 
 
@@ -68,37 +68,36 @@ class TestBuildUnits:
 class TestWindows:
     def test_earliest_start_translates_offsets(self):
         ddg = spill_shaped_graph()
-        units = build_units(ddg, LATENCIES)
+        plan = plan_units(ddg, LATENCIES)
         times = {"prod": 0}
         # member `use` (offset 2) must start >= 4 -> leader >= 2.
-        assert earliest_start(units["ls"], ddg, LATENCIES, 3, times) == 2
+        assert earliest_start(plan, plan.units["ls"], 3, times) == 2
 
     def test_latest_start_translates_offsets(self):
         ddg = spill_shaped_graph()
         ddg.add_node(Node("next", Opcode.STORE, operands=["use"]))
         ddg.add_edge(Edge("use", "next", EdgeKind.REG))
-        units = build_units(ddg, dict(LATENCIES, next=1))
+        plan = plan_units(ddg, dict(LATENCIES, next=1))
         times = {"next": 10}
         # member `use` (offset 2) must start <= 10 - lat(use)=4 -> 6, so
         # the leader starts at most 4.
-        assert latest_start(units["ls"], ddg, dict(LATENCIES, next=1), 3,
-                            times) == 4
+        assert latest_start(plan, plan.units["ls"], 3, times) == 4
 
     def test_no_neighbours_gives_none(self):
         ddg = spill_shaped_graph()
-        units = build_units(ddg, LATENCIES)
-        assert earliest_start(units["ls"], ddg, LATENCIES, 3, {}) is None
-        assert latest_start(units["ls"], ddg, LATENCIES, 3, {}) is None
+        plan = plan_units(ddg, LATENCIES)
+        assert earliest_start(plan, plan.units["ls"], 3, {}) is None
+        assert latest_start(plan, plan.units["ls"], 3, {}) is None
 
     def test_distance_relaxes_earliest(self):
         ddg = spill_shaped_graph()
         edge = ddg.reg_out_edges("prod")[0]
         ddg.remove_edge(edge)
         ddg.add_edge(Edge("prod", "use", EdgeKind.REG, distance=1))
-        units = build_units(ddg, LATENCIES)
+        plan = plan_units(ddg, LATENCIES)
         times = {"prod": 0}
         # constraint: t_use + II >= 4 -> leader >= 4 - II - offset
-        assert earliest_start(units["ls"], ddg, LATENCIES, 3, times) == -1
+        assert earliest_start(plan, plan.units["ls"], 3, times) == -1
 
 
 class TestInternalConsistency:
@@ -111,9 +110,39 @@ class TestInternalConsistency:
         ddg.add_edge(
             Edge("use", "ls", EdgeKind.MEM, DepKind.ANTI, distance=1)
         )
-        units = build_units(ddg, LATENCIES)
-        assert not unit_internally_schedulable(units["ls"], ddg, LATENCIES, 2)
-        assert unit_internally_schedulable(units["ls"], ddg, LATENCIES, 3)
+        assert plan_units(ddg, LATENCIES).min_ii == 3
+
+    @pytest.mark.parametrize("distance, min_ii", [(2, 2), (3, 1)])
+    def test_longer_distance_rounds_min_ii_up(self, distance, min_ii):
+        from repro.graph.ddg import DepKind
+
+        ddg = spill_shaped_graph()
+        # d * II >= 3 needs II >= ceil(3 / d)
+        ddg.add_edge(
+            Edge("use", "ls", EdgeKind.MEM, DepKind.ANTI, distance=distance)
+        )
+        assert plan_units(ddg, LATENCIES).min_ii == min_ii
+
+    def test_internal_distance_zero_violation_never_schedulable(self):
+        from repro.graph.ddg import DepKind
+
+        ddg = spill_shaped_graph()
+        # the same anti edge at distance 0 needs t_ls >= t_use + 1, which
+        # the fixed offsets (ls 0, use 2) contradict at every II.
+        ddg.add_edge(Edge("use", "ls", EdgeKind.MEM, DepKind.ANTI))
+        assert plan_units(ddg, LATENCIES).min_ii is None
+
+    def test_unconstrained_units_schedule_at_any_ii(self):
+        assert plan_units(spill_shaped_graph(), LATENCIES).min_ii == 1
+
+    def test_inconsistent_offsets_never_schedulable(self):
+        ddg = DDG()
+        for name in ("a", "b", "c"):
+            ddg.add_node(Node(name, Opcode.ADD))
+        ddg.add_edge(Edge("a", "b", EdgeKind.REG, fused=True))
+        ddg.add_edge(Edge("b", "c", EdgeKind.REG, fused=True))
+        ddg.add_edge(Edge("a", "c", EdgeKind.REG, fused=True))
+        assert plan_units(ddg, {"a": 2, "b": 2, "c": 2}).min_ii is None
 
 
 class TestPlacement:

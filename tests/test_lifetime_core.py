@@ -223,6 +223,43 @@ def _has_zero_gap_tie(ordered, placement, ii, registers):
     return tie
 
 
+def _gap_cases(ordered, placement, ii, registers):
+    """Replay *placement*: count the values that, placed on a non-empty
+    circle, had no feasible slot right behind an occupied cell
+    (``lifted``), with two or more slots sharing the smallest gap
+    (``lifted tie``), or with a smallest-gap free run that wraps past
+    cell 0 (``lifted wrap``)."""
+    circumference = ii * registers
+    occupied = bytearray(circumference)
+    cases = collections.Counter()
+    for lifetime in ordered:
+        gaps = []
+        for slot in range(registers):
+            start = (lifetime.start + slot * ii) % circumference
+            if any(
+                occupied[(start + c) % circumference]
+                for c in range(lifetime.length)
+            ):
+                continue
+            gap = 0
+            while gap < circumference and not occupied[
+                (start - gap - 1) % circumference
+            ]:
+                gap += 1
+            gaps.append((gap, start))
+        smallest = min((gap for gap, _ in gaps), default=0)
+        if 0 < smallest < circumference:
+            cases["lifted"] += 1
+            cases["lifted tie"] += sum(gap == smallest for gap, _ in gaps) > 1
+            cases["lifted wrap"] += any(
+                gap == smallest and start - gap <= 0 for gap, start in gaps
+            )
+        start = lifetime.start + placement[lifetime.value] * ii
+        for c in range(lifetime.length):
+            occupied[(start + c) % circumference] = 1
+    return cases
+
+
 class TestAllocatorParity:
     def test_placements_identical(self, workloads):
         for name, schedule in _schedules(workloads):
@@ -314,6 +351,55 @@ class TestAllocatorParity:
             for case in (
                 "start % C == 0", "wraps", "length == C", "both None",
                 "zero-gap tie",
+            )
+        ), seen
+
+    def test_try_allocate_matches_reference_without_zero_gap(self):
+        """Seeded circles up to 4,096 cells (the default sweep's largest
+        is 3,744) whose values mostly find no slot right behind an
+        occupied cell, so the smallest gap comes from binary lifting."""
+        rng = random.Random(3744)
+        seen = collections.Counter()
+        for trial in range(200):
+            ii = rng.choice((3, 7, 16, 29, 64, 117))
+            cells = 4096 if trial % 8 == 0 else 512
+            registers = rng.randint(1, min(128, max(1, cells // ii)))
+            circumference = ii * registers
+            lifetimes = [
+                Lifetime(
+                    f"v{index}",
+                    rng.randrange(0, 2 * circumference),
+                    rng.randint(1, max(1, circumference // 6)),
+                    0,
+                    (),
+                )
+                for index in range(rng.randint(3, 10))
+            ]
+            ordered = list(range(len(lifetimes)))
+            rng.shuffle(ordered)
+            fast = _try_allocate(
+                ordered,
+                [lt.value for lt in lifetimes],
+                [lt.start for lt in lifetimes],
+                [lt.length for lt in lifetimes],
+                ii,
+                registers,
+            )
+            slow = _try_allocate_reference(
+                [lifetimes[j] for j in ordered], ii, registers
+            )
+            assert fast == slow, (ii, registers, lifetimes, ordered)
+            seen["C > 2048"] += circumference > 2048
+            seen["both None"] += fast is None
+            if fast is not None:
+                seen += _gap_cases(
+                    [lifetimes[j] for j in ordered], fast, ii, registers
+                )
+        assert all(
+            seen[case] > 0
+            for case in (
+                "C > 2048", "both None", "lifted", "lifted tie",
+                "lifted wrap",
             )
         ), seen
 

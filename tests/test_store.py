@@ -494,3 +494,44 @@ class TestWarmSweepDeterminism:
         report = self._sweep(tmp_path)
         assert "store" in report.summary()
         assert "% hits" in report.summary()
+
+
+# ----------------------------------------------------------------------
+class TestPersistedGraphState:
+    def test_stored_graphs_carry_no_scratch_state(self, tmp_path):
+        """A tiny cold sweep for every scheduler populates a store; every
+        graph pickled into it carries content and fingerprint only, so
+        nothing a search attaches to a graph reaches disk."""
+        import importlib.util
+
+        from repro.eval.engine import run_sweep
+        from repro.machine import p2l4
+        from repro.workloads import random_suite
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "audit_store", os.path.join(root, "tools", "audit_store.py")
+        )
+        audit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(audit)
+
+        run_sweep(
+            suite=random_suite(size=2, seed=5),
+            machines=[p2l4()],
+            budgets=(8,),
+            artifacts=("fig8",),
+            scheduler=["hrms", "ims", "swing"],
+            cache_dir=str(tmp_path),
+        )
+        namespaces = {
+            path.parent.parent.name
+            for path in ScheduleStore(tmp_path).entries()
+        }
+        assert {"schedule", "spill"} <= namespaces
+        checked, stray = audit.stray_state(str(tmp_path))
+        assert checked > 0
+        assert stray == {}
+        assert audit.ALLOWED == {
+            "name", "nodes", "invariants", "live_out", "_out", "_in",
+            "revision", "_fingerprint",
+        }

@@ -1,0 +1,79 @@
+"""Persisted-entry audit: graphs pickled into a schedule store carry
+graph content and its revision-keyed fingerprint only.
+
+A memo entry embeds the graph it was computed for.  Anything else a
+process attaches to a graph — the compiled index, per-search scheduling
+state — would be pickled into every entry and read back by every warm
+process, so this audit loads each entry of a store directory and lists
+the graph attributes outside the allowed set.
+
+Usage::
+
+    PYTHONPATH=src python tools/audit_store.py .repro-cache
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+#: Everything a persisted graph may carry.
+ALLOWED = frozenset({
+    "name", "nodes", "invariants", "live_out", "_out", "_in", "revision",
+    "_fingerprint",
+})
+
+
+def graphs_in(value, seen: set[int] | None = None):
+    """Every :class:`~repro.graph.ddg.DDG` reachable from *value*
+    through containers and instance attributes."""
+    from repro.graph.ddg import DDG
+
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, DDG):
+        yield value
+        return
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = value
+    elif hasattr(value, "__dict__"):
+        items = vars(value).values()
+    else:
+        return
+    for item in items:
+        yield from graphs_in(item, seen)
+
+
+def stray_state(directory: str) -> tuple[int, dict[str, list[str]]]:
+    """``(graphs checked, entry file → attributes outside ALLOWED)``."""
+    from repro.sched.store import ScheduleStore
+
+    store = ScheduleStore(directory)
+    checked = 0
+    stray: dict[str, list[str]] = {}
+    for path in sorted(store.entries()):
+        for graph in graphs_in(store.load(path)):
+            checked += 1
+            extra = set(vars(graph)) - ALLOWED
+            if extra:
+                stray[str(path)] = sorted(extra)
+    return checked, stray
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("directory", help="schedule store directory")
+    args = parser.parse_args(argv)
+    checked, stray = stray_state(args.directory)
+    for path, extra in stray.items():
+        print(f"{path}: {', '.join(extra)}")
+    print(f"{checked} stored graphs, {len(stray)} entries with stray state")
+    return 1 if stray or not checked else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
