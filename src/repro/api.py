@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import contextlib
 import json
-import threading
 import time
 from dataclasses import dataclass, field, replace as _dc_replace
 
 from repro.core.registry import StrategyOutcome, get_strategy
-from repro.graph.builder import ddg_from_source
+from repro.graph.builder import cached_ddg, ddg_from_source
 from repro.graph.ddg import DDG
 from repro.graph.index import WORK
 from repro.lifetimes.requirements import RegisterReport
@@ -408,25 +407,14 @@ class Pipeline:
         self.options = dict(options or {})
         self.cache = sched_store.resolve_store(cache)
         self.verify = verify
-        self._ddg_cache: dict[tuple[str, str], DDG] = {}
-        self._ddg_lock = threading.Lock()
 
     def ddg(self, source_or_ddg: str | DDG, name: str = "loop") -> DDG:
-        """The pipeline's parsed view of a loop (cached per source).
-        Safe to call from several threads (``ClusterClient`` fans out
-        over a thread pool): parsing runs unlocked, eviction and
-        insertion under :attr:`_ddg_lock`."""
-        if isinstance(source_or_ddg, DDG):
-            return source_or_ddg
-        key = (name, source_or_ddg)
-        cached = self._ddg_cache.get(key)
-        if cached is None:
-            cached = _as_ddg(source_or_ddg, name)
-            with self._ddg_lock:
-                if len(self._ddg_cache) >= 512:
-                    self._ddg_cache.pop(next(iter(self._ddg_cache)))
-                self._ddg_cache[key] = cached
-        return cached
+        """The pipeline's parsed view of a loop: sources parse once per
+        process (:func:`repro.graph.builder.cached_ddg`, shared with the
+        sweep engine and safe from several threads)."""
+        if isinstance(source_or_ddg, str):
+            return cached_ddg(source_or_ddg, name)
+        return _as_ddg(source_or_ddg, name)
 
     def compile(
         self,

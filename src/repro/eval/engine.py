@@ -7,12 +7,14 @@ variant)`` **cells**.  This module makes that structure explicit:
 * :class:`Cell` — one unit of work, fully described by picklable scalars
   (the loop *source*, a machine spec string, a scheduler name and an
   options tuple), so cells can cross process boundaries;
-* :func:`run_cells` — evaluates a batch, either serially (``jobs=1``) or
-  fanned out over a ``ProcessPoolExecutor``.  Results come back in a
-  deterministic order and contain only deterministic data (wall-clock
-  time and cache accounting ride along separately), so the output is
-  byte-identical for any job count;
-* per-process memoization — every worker shares one
+* :func:`run_cells` — evaluates a batch, either serially (``jobs=1``),
+  fanned out over a ``ProcessPoolExecutor``, or on the shard daemons
+  of a ``cluster``.  Results come back in a deterministic order and
+  contain only deterministic data (wall-clock time and cache accounting
+  ride along separately), so the output is byte-identical for any job
+  count and transport;
+* per-process memoization — each loop source parses once per process
+  (:func:`repro.graph.builder.cached_ddg`) and every worker shares one
   :mod:`repro.sched.cache`: the ideal (infinite-register) schedule of a
   loop is computed once per ``(graph, machine, scheduler)`` however many
   budgets/variants/artifacts ask for it, and the spilling driver's
@@ -21,10 +23,12 @@ variant)`` **cells**.  This module makes that structure explicit:
   or ``REPRO_CACHE_DIR``), all workers additionally share one on-disk
   :mod:`repro.sched.store`, so nothing is derived twice across
   processes *or* across sweeps;
-* :func:`run_sweep` — the ``repro sweep`` entry point: builds the cells
-  for the requested artifacts, runs them, aggregates the paper-style
-  result objects and a machine-readable JSON document
-  (``schema: repro.sweep/1``).
+* :func:`run_sweep` — the ``repro sweep`` entry point: concatenates
+  the cells of every requested (scheduler, artifact) pair into one plan
+  (:mod:`repro.eval.experiments`), evaluates it with one
+  :func:`run_cells` call, and hands each artifact's results to its
+  aggregator; the paper-style result objects render as tables and as a
+  machine-readable JSON document (``schema: repro.sweep/1``).
 
 Cell kinds and their ``data`` payloads:
 
@@ -54,20 +58,20 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.select import SelectionPolicy
 from repro.faults import plan as faults
-from repro.pool import imap_resilient, shutdown_pool, worker_pool
+from repro.pool import imap_resilient, shutdown_pool
 from repro.eval.metrics import executed_cycles, memory_traffic
-from repro.graph.builder import ddg_from_source
+from repro.graph.builder import cached_ddg
 from repro.graph.ddg import DDG
 from repro.lifetimes.requirements import register_requirements
 from repro.machine.machine import MachineConfig
 from repro.machine.specs import machine_spec, resolve_machine
 from repro.sched import store as sched_store
 from repro.sched.base import ModuloScheduler
-from repro.sched.cache import STATS, CacheStats, schedule_memo
+from repro.sched.cache import STATS, CacheStats, caching_enabled, schedule_memo
 from repro.sched.schedule import Schedule
 from repro.trace import profile as trace_profile
 from repro.workloads.suite import Workload
@@ -83,7 +87,6 @@ __all__ = [
     "machine_spec",
     "pack_options",
     "resolve_machine",
-    "routed_through",
     "run_cells",
     "run_sweep",
     "scheduler_name",
@@ -233,22 +236,6 @@ def cell_from_wire(document: dict) -> Cell:
     )
 
 
-# ----------------------------------------------------------------------
-# per-process state (each pool worker builds its own)
-_DDG_CACHE: dict[tuple[str, str], DDG] = {}
-
-
-def _cell_ddg(cell: Cell) -> DDG:
-    key = (cell.workload, cell.source)
-    ddg = _DDG_CACHE.get(key)
-    if ddg is None:
-        if len(_DDG_CACHE) >= 512:
-            _DDG_CACHE.pop(next(iter(_DDG_CACHE)))
-        ddg = ddg_from_source(cell.source, name=cell.workload)
-        _DDG_CACHE[key] = ddg
-    return ddg
-
-
 def _ideal_outcome(
     ddg: DDG, machine: MachineConfig, scheduler: ModuloScheduler,
     verify: bool = False,
@@ -275,7 +262,7 @@ def _cell_compile(cell: Cell, strategy: str, options: dict | None = None):
     from repro.api import compile_loop
 
     return compile_loop(
-        _cell_ddg(cell),
+        cached_ddg(cell.source, cell.workload),
         machine=cell.machine,
         scheduler=cell.scheduler,
         strategy=strategy,
@@ -313,7 +300,7 @@ def _cell_context(cell: Cell):
     from repro.sched.registry import create_scheduler
 
     return (
-        _cell_ddg(cell),
+        cached_ddg(cell.source, cell.workload),
         resolve_machine(cell.machine),
         create_scheduler(cell.scheduler),
     )
@@ -494,92 +481,30 @@ class EngineRun:
     seconds: float
     cache: CacheStats
 
-    def by_kind(self, kind: str) -> list[CellResult]:
-        return [r for r in self.results if r.cell.kind == kind]
 
-
-# The persistent worker pool lives in repro.pool: it is shared with the
-# Pipeline batch service, keyed by (jobs, active store), and reused
-# across batches so the workers' caches stay warm for a whole sweep
-# (one artifact's ideal pass serves the next's).
-_worker_pool = worker_pool
-
-# When set (via routed_through), run_cells ships cells to a
-# repro.cluster.ClusterClient instead of evaluating locally — the hook
-# sits here so every experiment runner (run_table1, run_fig8, ...)
-# routes without signature changes.
-_ACTIVE_CLUSTER = None
-
-# When set (via verified_cells / run_sweep(verify=True)), run_cells
-# stamps verify=True onto every cell before evaluation — same
-# no-signature-changes trick as _ACTIVE_CLUSTER, and the stamp rides the
-# cell through pickling (pool workers) and the wire (cluster shards).
-_VERIFY_CELLS = False
-
-
-@contextlib.contextmanager
-def verified_cells():
-    """Oracle-check every schedule produced by :func:`run_cells` calls
-    inside the block (``repro sweep --verify``).  Output bytes are
-    unchanged — an invalid schedule raises
-    :class:`repro.verify.VerificationError` instead."""
-    global _VERIFY_CELLS
-    previous = _VERIFY_CELLS
-    _VERIFY_CELLS = True
-    try:
-        yield
-    finally:
-        _VERIFY_CELLS = previous
-
-
-@contextlib.contextmanager
-def routed_through(cluster):
-    """Route every :func:`run_cells` call inside the block through
-    *cluster* (a :class:`repro.cluster.ClusterClient`).  Results are
-    byte-identical to local evaluation; only where the work runs (and
-    whose caches warm up) changes."""
-    global _ACTIVE_CLUSTER
-    previous = _ACTIVE_CLUSTER
-    _ACTIVE_CLUSTER = cluster
-    try:
-        yield cluster
-    finally:
-        _ACTIVE_CLUSTER = previous
-
-
-def run_cells(cells: list[Cell], jobs: int = 1) -> EngineRun:
+def run_cells(cells: list[Cell], jobs: int = 1, cluster=None) -> EngineRun:
     """Evaluate *cells*; results are sorted by cell key, so the outcome
-    is identical whatever *jobs* is (and whether they run locally or on
-    a routed cluster)."""
-    from repro.sched.cache import caching_enabled
-
+    is identical whatever *jobs* is, and whether the cells run locally
+    or on *cluster* (a :class:`repro.cluster.ClusterClient`, which only
+    changes where the work runs and whose caches warm up)."""
     ordered = sorted(cells, key=Cell.sort_key)
-    if _VERIFY_CELLS:
-        from dataclasses import replace
-
-        ordered = [replace(cell, verify=True) for cell in ordered]
     started = time.perf_counter()
-    if _ACTIVE_CLUSTER is not None and ordered:
-        results, cache = _ACTIVE_CLUSTER.run_cells(ordered)
-        return EngineRun(
-            results=results,
-            jobs=jobs,
-            seconds=time.perf_counter() - started,
-            cache=cache,
-        )
-    # cache.disabled() is process-local: worker processes would cache
-    # anyway (or inherit a frozen flag at fork time), so honour it by
-    # evaluating serially in this process.
-    if jobs <= 1 or len(ordered) <= 1 or not caching_enabled():
-        results = [evaluate_cell(cell) for cell in ordered]
+    if cluster is not None and ordered:
+        results, cache = cluster.run_cells(ordered)
     else:
-        chunk = max(1, len(ordered) // (jobs * 4))
-        results = list(
-            imap_resilient(evaluate_cell, ordered, jobs, chunksize=chunk)
-        )
-    cache = CacheStats()
-    for result in results:
-        cache.add(result.cache)
+        # cache.disabled() is process-local: worker processes would
+        # cache anyway (or inherit a frozen flag at fork time), so
+        # honour it by evaluating serially in this process.
+        if jobs <= 1 or len(ordered) <= 1 or not caching_enabled():
+            results = [evaluate_cell(cell) for cell in ordered]
+        else:
+            chunk = max(1, len(ordered) // (jobs * 4))
+            results = list(
+                imap_resilient(evaluate_cell, ordered, jobs, chunksize=chunk)
+            )
+        cache = CacheStats()
+        for result in results:
+            cache.add(result.cache)
     return EngineRun(
         results=results,
         jobs=jobs,
@@ -634,7 +559,6 @@ class SweepReport:
     suite_info: dict
     artifacts: dict  # name -> result object with .render()
     run: EngineRun
-    jobs: int
 
     def render(self) -> str:
         blocks = []
@@ -653,7 +577,7 @@ class SweepReport:
         part of the byte-compared JSON)."""
         cache = self.run.cache
         line = (
-            f"sweep: {len(self.run.results)} cells, jobs={self.jobs},"
+            f"sweep: {len(self.run.results)} cells, jobs={self.run.jobs},"
             f" {self.run.seconds:.2f}s wall;"
             f" cache hits/misses: schedule {cache.schedule_hits}"
             f"/{cache.schedule_misses}, MII {cache.mii_hits}"
@@ -680,12 +604,8 @@ class SweepReport:
             "schema": JSON_SCHEMA,
             "suite": self.suite_info,
             "artifacts": artifacts,
-            "cells": [
-                result.as_json()
-                for result in sorted(
-                    self.run.results, key=lambda r: r.cell.sort_key()
-                )
-            ],
+            # run_cells returns results in cell-key order
+            "cells": [result.as_json() for result in self.run.results],
         }
 
     def to_json_text(self) -> str:
@@ -758,51 +678,31 @@ def run_sweep(
     cluster=None,
     verify: bool = False,
 ) -> SweepReport:
-    """Regenerate the requested paper artifacts in one engine pass.
+    """Regenerate the requested paper artifacts in one engine pass: the
+    cells of every (scheduler, artifact) pair form one plan, evaluated
+    by a single :func:`run_cells` call and then aggregated per artifact.
 
     ``scheduler`` may be a list/tuple: the whole artifact grid is then
     run once per scheduler into one combined report, with artifact keys
     ``"table1@hrms"``-style and every cell carrying its scheduler (one
-    jobs-deterministic JSON document for the entire grid).
+    jobs-deterministic JSON document for the entire grid).  Duplicate
+    schedulers, artifacts, budgets or machines raise :class:`ValueError`.
     ``suite_filter`` restricts the suite to the named workload
     categories (see :func:`filter_suite`).  ``cache_dir`` (a directory
     path or a :class:`~repro.sched.store.ScheduleStore`) activates the
     persistent store for the whole sweep (parent process and every
     worker) — a repeated sweep into the same directory is served from
     disk and produces byte-identical JSON.  ``cluster`` (a
-    :class:`repro.cluster.ClusterClient` or a ``host:port,host:port``
-    address string — ``repro sweep --connect``) routes every cell
-    through the sharded daemons instead of local evaluation; the JSON
-    stays byte-identical either way.
+    :class:`repro.cluster.ClusterClient` — ``repro sweep --connect``)
+    routes every cell through the sharded daemons instead of local
+    evaluation; the JSON stays byte-identical either way.  ``verify``
+    oracle-checks every schedule the cells produce (an invalid one
+    raises :class:`repro.verify.VerificationError`; the bytes never
+    change).
     """
-    if cache_dir is not None:
-        with sched_store.using(cache_dir):
-            return run_sweep(
-                suite=suite, machines=machines, budgets=budgets,
-                artifacts=artifacts, jobs=jobs, scheduler=scheduler,
-                suite_info=suite_info, suite_filter=suite_filter,
-                cluster=cluster, verify=verify,
-            )
-    if cluster is not None:
-        if isinstance(cluster, (str, list, tuple)):
-            from repro.cluster import ClusterClient
-
-            with ClusterClient(cluster) as owned:
-                with routed_through(owned):
-                    return run_sweep(
-                        suite=suite, machines=machines, budgets=budgets,
-                        artifacts=artifacts, jobs=jobs,
-                        scheduler=scheduler, suite_info=suite_info,
-                        suite_filter=suite_filter, verify=verify,
-                    )
-        with routed_through(cluster):
-            return run_sweep(
-                suite=suite, machines=machines, budgets=budgets,
-                artifacts=artifacts, jobs=jobs, scheduler=scheduler,
-                suite_info=suite_info, suite_filter=suite_filter,
-                verify=verify,
-            )
-    from repro.eval import experiments
+    from repro.eval.experiments import (
+        plan_fig4, plan_fig7, plan_fig8, plan_fig9, plan_table1,
+    )
     from repro.machine.machine import paper_configurations
     from repro.workloads.suite import perfect_club_like_suite
 
@@ -815,61 +715,55 @@ def run_sweep(
     else:
         schedulers = [scheduler]
     scheduler_labels = [scheduler_name(s) for s in schedulers]
-    if len(set(scheduler_labels)) != len(scheduler_labels):
-        raise ValueError(
-            f"duplicate schedulers in sweep: {scheduler_labels}"
-        )
-    multi = len(schedulers) > 1
+    specs = [machine_spec(m) for m in machines]
+    for axis, values in (
+        ("schedulers", scheduler_labels), ("artifacts", list(artifacts)),
+        ("budgets", list(budgets)), ("machines", specs),
+    ):
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate {axis} in sweep: {values}")
 
-    def runners_for(sched):
-        return {
-            "table1": lambda: experiments.run_table1(
-                suite, machines, budgets, scheduler=sched, jobs=jobs
-            ),
-            # fig4 and fig7 are single-machine curves: they follow the
-            # first machine filter and their own register targets, not
-            # the sweep budgets.
-            "fig4": lambda: experiments.run_fig4(
-                machine=machines[0], scheduler=sched, jobs=jobs
-            ),
-            "fig7": lambda: experiments.run_fig7(
-                machine=machines[0], scheduler=sched, jobs=jobs
-            ),
-            "fig8": lambda: experiments.run_fig8(
-                suite, machines, budgets, scheduler=sched, jobs=jobs
-            ),
-            "fig9": lambda: experiments.run_fig9(
-                suite, machines, budgets, scheduler=sched, jobs=jobs
-            ),
-        }
-
-    unknown = set(artifacts) - set(runners_for(None))
+    # fig4 and fig7 are single-machine curves: they follow the first
+    # machine filter and their own register targets, not the sweep budgets
+    planners = {
+        "table1": lambda s: plan_table1(suite, machines, budgets, scheduler=s),
+        "fig4": lambda s: plan_fig4(machines[0], scheduler=s),
+        "fig7": lambda s: plan_fig7(machines[0], scheduler=s),
+        "fig8": lambda s: plan_fig8(suite, machines, budgets, scheduler=s),
+        "fig9": lambda s: plan_fig9(suite, machines, budgets, scheduler=s),
+    }
+    unknown = set(artifacts) - set(planners)
     if unknown:
         raise ValueError(f"unknown artifacts: {sorted(unknown)}")
 
-    started = time.perf_counter()
-    produced = {}
-    results: list[CellResult] = []
-    cache = CacheStats()
-    verify_context = verified_cells() if verify else contextlib.nullcontext()
-    with verify_context:
-        for sched, label in zip(schedulers, scheduler_labels):
-            runners = runners_for(sched)
-            for name in artifacts:
-                result = runners[name]()
-                produced[f"{name}@{label}" if multi else name] = result
-                run = result.engine_run
-                results.extend(run.results)
-                cache.add(run.cache)
-    engine_run = EngineRun(
-        results=results,
-        jobs=jobs,
-        seconds=time.perf_counter() - started,
-        cache=cache,
-    )
+    # an artifact's cells all have kind == the artifact's name, so
+    # (kind, scheduler) finds each plan's results in the one run
+    plans = {
+        (name, label): planners[name](label)
+        for label in scheduler_labels
+        for name in artifacts
+    }
+    cells = [cell for plan in plans.values() for cell in plan.cells]
+    if verify:
+        cells = [replace(cell, verify=True) for cell in cells]
+    with (
+        sched_store.using(cache_dir) if cache_dir is not None
+        else contextlib.nullcontext()
+    ):
+        run = run_cells(cells, jobs=jobs, cluster=cluster)
+    grouped: dict[tuple[str, str], list[CellResult]] = {
+        key: [] for key in plans
+    }
+    for result in run.results:
+        grouped[(result.cell.kind, result.cell.scheduler)].append(result)
+    multi = len(scheduler_labels) > 1
+    produced = {
+        f"{name}@{label}" if multi else name: plan.aggregate(grouped[name, label])
+        for (name, label), plan in plans.items()
+    }
     info = dict(suite_info or {})
     info.setdefault("size", len(suite))
-    info["machines"] = [machine_spec(m) for m in machines]
+    info["machines"] = specs
     info["budgets"] = list(budgets)
     info["artifacts"] = sorted(artifacts)
     info["schedulers"] = scheduler_labels
@@ -878,9 +772,4 @@ def run_sweep(
             suite_filter if isinstance(suite_filter, str)
             else ",".join(suite_filter)
         )
-    return SweepReport(
-        suite_info=info,
-        artifacts=produced,
-        run=engine_run,
-        jobs=jobs,
-    )
+    return SweepReport(suite_info=info, artifacts=produced, run=run)

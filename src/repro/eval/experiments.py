@@ -1,23 +1,34 @@
-"""Per-table / per-figure experiment drivers (paper Section 5).
+"""Per-table / per-figure experiments (paper Section 5).
 
-Each ``run_*`` function regenerates one artifact of the paper's evaluation
-on the reproduction suite and returns a result object whose ``render()``
-prints the same rows/series the paper reports.  DESIGN.md carries the
-experiment index mapping these drivers to the paper's tables and figures.
-
-Since the engine rewrite, every driver expresses its artifact as a batch
-of independent :class:`repro.eval.engine.Cell` objects and aggregates the
-evaluated results: pass ``jobs=N`` to fan the cells out over worker
-processes.  Results are identical for any job count; each result object
-keeps its :class:`~repro.eval.engine.EngineRun` (timings and cache
-accounting) in ``engine_run``.
+Each artifact of the paper's evaluation is a batch of independent
+:class:`repro.eval.engine.Cell` objects plus a pure aggregation of their
+results.  ``plan_<artifact>(...)`` returns both as a :class:`Plan`:
+:func:`repro.eval.engine.run_sweep` concatenates the plans of every
+requested artifact and scheduler and evaluates all their cells in one
+:func:`~repro.eval.engine.run_cells` call.  The ``run_*`` functions run
+one plan on its own (``jobs=N`` fans its cells out over worker
+processes) and return a result object whose ``render()`` prints the same
+rows/series the paper reports.  Results are identical for any job count.
+DESIGN.md carries the experiment index mapping these artifacts to the
+paper's tables and figures.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.core.select import SelectionPolicy
+from repro.eval.engine import (
+    Cell,
+    CellResult,
+    machine_spec,
+    pack_options,
+    run_cells,
+    scheduler_name,
+    workload_cells,
+)
 from repro.eval.reporting import format_table
 from repro.machine.machine import MachineConfig, paper_configurations
 from repro.sched.base import ModuloScheduler
@@ -34,6 +45,62 @@ FIG8_VARIANTS: list[tuple[str, dict]] = [
 
 DEFAULT_BUDGETS = (64, 32)
 
+#: Figures 4 and 7 follow these two loops (paper Figure 2's APSI loops).
+_APSI_LOOPS = (("apsi47_like", apsi47_source), ("apsi50_like", apsi50_source))
+
+
+class Plan(NamedTuple):
+    """One artifact: the cells it needs and the pure function turning
+    their results (in any order) into the artifact's result object."""
+
+    cells: list[Cell]
+    aggregate: Callable[[list[CellResult]], object]
+
+    def run(self, jobs: int = 1):
+        return self.aggregate(run_cells(self.cells, jobs=jobs).results)
+
+
+def _grid(suite, machines) -> tuple[list[Workload], list[MachineConfig]]:
+    return (
+        suite if suite is not None else perfect_club_like_suite(),
+        machines if machines is not None else paper_configurations(),
+    )
+
+
+def _suite_cells(kind, suite, machines, budgets, scheduler, **kwargs):
+    return [
+        cell
+        for machine in machines
+        for budget in budgets
+        for cell in workload_cells(
+            kind, suite, machine, budget=budget, scheduler=scheduler,
+            **kwargs,
+        )
+    ]
+
+
+def _by_group(results: list[CellResult]) -> dict[tuple, list[CellResult]]:
+    """Results keyed by ``(machine spec, budget, variant)``: one entry
+    per suite-wide group the aggregators sum over."""
+    groups = defaultdict(list)
+    for result in results:
+        cell = result.cell
+        groups[(cell.machine, cell.budget, cell.variant)].append(result)
+    return groups
+
+
+def _total(results: list[CellResult], key: str) -> int:
+    return sum(result.data[key] for result in results)
+
+
+def _loop_cells(kind, machine, budget, scheduler, options) -> list[Cell]:
+    spec, scheduler = machine_spec(machine), scheduler_name(scheduler)
+    return [
+        Cell(kind=kind, workload=name, source=source(), weight=1,
+             machine=spec, budget=budget, scheduler=scheduler, options=options)
+        for name, source in _APSI_LOOPS
+    ]
+
 
 # ======================================================================
 # Table 1 — loops that never converge under II increase
@@ -45,7 +112,6 @@ class Table1Result:
     suite_size: int
     rows: list[tuple[str, int, int, float]] = field(default_factory=list)
     # (config, budget, never_converge_count, weighted cycle share %)
-    engine_run: object | None = field(default=None, repr=False)
 
     def render(self) -> str:
         return format_table(
@@ -58,6 +124,36 @@ class Table1Result:
         )
 
 
+def plan_table1(
+    suite: list[Workload] | None = None,
+    machines: list[MachineConfig] | None = None,
+    budgets: tuple[int, ...] = DEFAULT_BUDGETS,
+    scheduler: ModuloScheduler | str | None = None,
+    patience: int = 10,
+) -> Plan:
+    suite, machines = _grid(suite, machines)
+
+    def aggregate(results: list[CellResult]) -> Table1Result:
+        groups = _by_group(results)
+        result = Table1Result(suite_size=len(suite))
+        for machine in machines:
+            spec = machine_spec(machine)
+            total_cycles = _total(groups[(spec, budgets[0], "")], "ideal_cycles")
+            for budget in budgets:
+                group = groups[(spec, budget, "")]
+                failed = [r for r in group if r.data["failed"]]
+                failed_cycles = _total(failed, "ideal_cycles")
+                share = 100.0 * failed_cycles / total_cycles if total_cycles else 0.0
+                result.rows.append((machine.name, budget, len(failed), share))
+        return result
+
+    cells = _suite_cells(
+        "table1", suite, machines, budgets, scheduler,
+        options={"patience": patience},
+    )
+    return Plan(cells, aggregate)
+
+
 def run_table1(
     suite: list[Workload] | None = None,
     machines: list[MachineConfig] | None = None,
@@ -66,41 +162,7 @@ def run_table1(
     patience: int = 10,
     jobs: int = 1,
 ) -> Table1Result:
-    from repro.eval.engine import machine_spec, run_cells, workload_cells
-
-    suite = suite if suite is not None else perfect_club_like_suite()
-    machines = machines if machines is not None else paper_configurations()
-    cells = []
-    for machine in machines:
-        for budget in budgets:
-            cells.extend(
-                workload_cells(
-                    "table1", suite, machine, budget=budget,
-                    scheduler=scheduler, options={"patience": patience},
-                )
-            )
-    run = run_cells(cells, jobs=jobs)
-    data = {
-        (r.cell.machine, r.cell.budget, r.cell.workload): r.data
-        for r in run.results
-    }
-    result = Table1Result(suite_size=len(suite), engine_run=run)
-    for machine in machines:
-        spec = machine_spec(machine)
-        total_cycles = sum(
-            data[(spec, budgets[0], w.name)]["ideal_cycles"] for w in suite
-        )
-        for budget in budgets:
-            rows = [data[(spec, budget, w.name)] for w in suite]
-            failed_count = sum(row["failed"] for row in rows)
-            failed_cycles = sum(
-                row["ideal_cycles"] for row in rows if row["failed"]
-            )
-            share = (
-                100.0 * failed_cycles / total_cycles if total_cycles else 0.0
-            )
-            result.rows.append((machine.name, budget, failed_count, share))
-    return result
+    return plan_table1(suite, machines, budgets, scheduler, patience).run(jobs)
 
 
 # ======================================================================
@@ -111,7 +173,6 @@ class Fig4Result:
     converged: dict[str, dict[int, int | None]] = field(default_factory=dict)
     # loop -> {budget: II reached or None}
     machine: str = ""
-    engine_run: object | None = field(default=None, repr=False)
 
     def render(self) -> str:
         blocks = []
@@ -133,6 +194,35 @@ class Fig4Result:
         return "\n\n".join(blocks)
 
 
+def plan_fig4(
+    machine: MachineConfig | None = None,
+    budgets: tuple[int, ...] = (32, 16),
+    scheduler: ModuloScheduler | str | None = None,
+    max_ii: int = 120,
+) -> Plan:
+    machine = machine or paper_configurations()[1]  # P2L4
+
+    def aggregate(results: list[CellResult]) -> Fig4Result:
+        result = Fig4Result(machine=machine.name)
+        for cell_result in results:
+            trail = [tuple(point) for point in cell_result.data["trail"]]
+            name = cell_result.cell.workload
+            result.trails[name] = trail
+            result.converged[name] = {}
+            for budget in budgets:
+                fitting = [ii for ii, regs in trail if regs <= budget]
+                result.converged[name][budget] = min(fitting) if fitting else None
+        return result
+
+    # One long sweep per loop (down to an impossible budget, so budget=1)
+    # yields the whole registers-vs-II curve; the per-budget convergence
+    # notes are read off the shared trail.
+    cells = _loop_cells(
+        "fig4", machine, 1, scheduler, (("max_ii", max_ii), ("patience", 18)),
+    )
+    return Plan(cells, aggregate)
+
+
 def run_fig4(
     machine: MachineConfig | None = None,
     budgets: tuple[int, ...] = (32, 16),
@@ -140,44 +230,7 @@ def run_fig4(
     max_ii: int = 120,
     jobs: int = 1,
 ) -> Fig4Result:
-    from repro.eval.engine import (
-        Cell,
-        machine_spec,
-        run_cells,
-        scheduler_name,
-    )
-
-    machine = machine or paper_configurations()[1]  # P2L4
-    # One long sweep per loop (down to an impossible budget, so budget=1)
-    # yields the whole registers-vs-II curve; the per-budget convergence
-    # notes are read off the shared trail.
-    cells = [
-        Cell(
-            kind="fig4",
-            workload=name,
-            source=source,
-            weight=1,
-            machine=machine_spec(machine),
-            budget=1,
-            scheduler=scheduler_name(scheduler),
-            options=(("max_ii", max_ii), ("patience", 18)),
-        )
-        for name, source in (
-            ("apsi47_like", apsi47_source()),
-            ("apsi50_like", apsi50_source()),
-        )
-    ]
-    run = run_cells(cells, jobs=jobs)
-    result = Fig4Result(machine=machine.name, engine_run=run)
-    for cell_result in run.results:
-        trail = [tuple(point) for point in cell_result.data["trail"]]
-        name = cell_result.cell.workload
-        result.trails[name] = trail
-        result.converged[name] = {}
-        for budget in budgets:
-            fitting = [ii for ii, regs in trail if regs <= budget]
-            result.converged[name][budget] = min(fitting) if fitting else None
-    return result
+    return plan_fig4(machine, budgets, scheduler, max_ii).run(jobs)
 
 
 # ======================================================================
@@ -189,7 +242,6 @@ class Fig7Result:
         default_factory=dict
     )
     # loop -> [(n_spilled, II, MII, registers, bus %)]
-    engine_run: object | None = field(default=None, repr=False)
 
     def render(self) -> str:
         blocks = []
@@ -207,43 +259,35 @@ class Fig7Result:
         return "\n\n".join(blocks)
 
 
+def plan_fig7(
+    machine: MachineConfig | None = None,
+    target_registers: int = 12,
+    scheduler: ModuloScheduler | str | None = None,
+) -> Plan:
+    machine = machine or paper_configurations()[1]  # P2L4
+
+    def aggregate(results: list[CellResult]) -> Fig7Result:
+        result = Fig7Result(machine=machine.name)
+        for cell_result in results:
+            result.rounds[cell_result.cell.workload] = [
+                tuple(row) for row in cell_result.data["rows"]
+            ]
+        return result
+
+    cells = _loop_cells(
+        "fig7", machine, target_registers, scheduler,
+        (("policy", SelectionPolicy.MAX_LT.value),),
+    )
+    return Plan(cells, aggregate)
+
+
 def run_fig7(
     machine: MachineConfig | None = None,
     target_registers: int = 12,
     scheduler: ModuloScheduler | None = None,
     jobs: int = 1,
 ) -> Fig7Result:
-    from repro.eval.engine import (
-        Cell,
-        machine_spec,
-        run_cells,
-        scheduler_name,
-    )
-
-    machine = machine or paper_configurations()[1]  # P2L4
-    cells = [
-        Cell(
-            kind="fig7",
-            workload=name,
-            source=source,
-            weight=1,
-            machine=machine_spec(machine),
-            budget=target_registers,
-            scheduler=scheduler_name(scheduler),
-            options=(("policy", SelectionPolicy.MAX_LT.value),),
-        )
-        for name, source in (
-            ("apsi47_like", apsi47_source()),
-            ("apsi50_like", apsi50_source()),
-        )
-    ]
-    run = run_cells(cells, jobs=jobs)
-    result = Fig7Result(machine=machine.name, engine_run=run)
-    for cell_result in run.results:
-        result.rounds[cell_result.cell.workload] = [
-            tuple(row) for row in cell_result.data["rows"]
-        ]
-    return result
+    return plan_fig7(machine, target_registers, scheduler).run(jobs)
 
 
 # ======================================================================
@@ -252,7 +296,6 @@ def run_fig7(
 class Fig8Result:
     suite_size: int
     rows: list[dict] = field(default_factory=list)
-    engine_run: object | None = field(default=None, repr=False)
 
     def render(self) -> str:
         headers = [
@@ -278,6 +321,58 @@ class Fig8Result:
         )
 
 
+def plan_fig8(
+    suite: list[Workload] | None = None,
+    machines: list[MachineConfig] | None = None,
+    budgets: tuple[int, ...] = DEFAULT_BUDGETS,
+    variants: list[tuple[str, dict]] | None = None,
+    scheduler: ModuloScheduler | str | None = None,
+) -> Plan:
+    suite, machines = _grid(suite, machines)
+    variants = variants if variants is not None else FIG8_VARIANTS
+    if not variants:
+        raise ValueError("fig8 needs at least one heuristic variant")
+
+    def aggregate(results: list[CellResult]) -> Fig8Result:
+        groups = _by_group(results)
+        result = Fig8Result(suite_size=len(suite))
+        for machine in machines:
+            spec = machine_spec(machine)
+            for budget in budgets:
+                # every variant's cells carry the ideal figures; read
+                # them off the first variant's
+                ideal = groups[(spec, budget, variants[0][0])]
+                result.rows.append(dict(
+                    config=machine.name, budget=budget,
+                    variant="ideal (infinite regs)",
+                    cycles=_total(ideal, "ideal_cycles"),
+                    traffic=_total(ideal, "ideal_traffic"),
+                    attempts=0, placements=0, seconds=0.0, failed=0,
+                ))
+                for label, _ in variants:
+                    rows = groups[(spec, budget, label)]
+                    result.rows.append(dict(
+                        config=machine.name, budget=budget, variant=label,
+                        cycles=_total(rows, "cycles"),
+                        traffic=_total(rows, "traffic"),
+                        attempts=_total(rows, "attempts"),
+                        placements=_total(rows, "placements"),
+                        seconds=sum(r.seconds for r in rows),
+                        failed=_total(rows, "failed"),
+                    ))
+        return result
+
+    cells = [
+        cell
+        for label, options in variants
+        for cell in _suite_cells(
+            "fig8", suite, machines, budgets, scheduler,
+            variant=label, options=pack_options(options),
+        )
+    ]
+    return Plan(cells, aggregate)
+
+
 def run_fig8(
     suite: list[Workload] | None = None,
     machines: list[MachineConfig] | None = None,
@@ -286,81 +381,7 @@ def run_fig8(
     scheduler: ModuloScheduler | None = None,
     jobs: int = 1,
 ) -> Fig8Result:
-    from repro.eval.engine import (
-        machine_spec,
-        pack_options,
-        run_cells,
-        workload_cells,
-    )
-
-    suite = suite if suite is not None else perfect_club_like_suite()
-    machines = machines if machines is not None else paper_configurations()
-    variants = variants if variants is not None else FIG8_VARIANTS
-    cells = []
-    for machine in machines:
-        if not variants:
-            # baseline-only call: the ideal rows need their own cells
-            cells.extend(
-                workload_cells("ideal", suite, machine, scheduler=scheduler)
-            )
-        for budget in budgets:
-            for label, options in variants:
-                cells.extend(
-                    workload_cells(
-                        "fig8", suite, machine, budget=budget,
-                        variant=label, scheduler=scheduler,
-                        options=pack_options(options),
-                    )
-                )
-    run = run_cells(cells, jobs=jobs)
-    index = {
-        (r.cell.machine, r.cell.budget, r.cell.variant, r.cell.workload): r
-        for r in run.results
-    }
-    result = Fig8Result(suite_size=len(suite), engine_run=run)
-    for machine in machines:
-        spec = machine_spec(machine)
-        for budget in budgets:
-            if variants:
-                ideal_rows = [
-                    index[(spec, budget, variants[0][0], w.name)]
-                    for w in suite
-                ]
-                ideal_cycles = sum(r.data["ideal_cycles"] for r in ideal_rows)
-                ideal_traffic = sum(r.data["ideal_traffic"] for r in ideal_rows)
-            else:
-                ideal_rows = [index[(spec, 0, "", w.name)] for w in suite]
-                ideal_cycles = sum(r.data["cycles"] for r in ideal_rows)
-                ideal_traffic = sum(r.data["traffic"] for r in ideal_rows)
-            result.rows.append(
-                dict(
-                    config=machine.name,
-                    budget=budget,
-                    variant="ideal (infinite regs)",
-                    cycles=ideal_cycles,
-                    traffic=ideal_traffic,
-                    attempts=0,
-                    placements=0,
-                    seconds=0.0,
-                    failed=0,
-                )
-            )
-            for label, _ in variants:
-                rows = [index[(spec, budget, label, w.name)] for w in suite]
-                result.rows.append(
-                    dict(
-                        config=machine.name,
-                        budget=budget,
-                        variant=label,
-                        cycles=sum(r.data["cycles"] for r in rows),
-                        traffic=sum(r.data["traffic"] for r in rows),
-                        attempts=sum(r.data["attempts"] for r in rows),
-                        placements=sum(r.data["placements"] for r in rows),
-                        seconds=sum(r.seconds for r in rows),
-                        failed=sum(r.data["failed"] for r in rows),
-                    )
-                )
-    return result
+    return plan_fig8(suite, machines, budgets, variants, scheduler).run(jobs)
 
 
 # ======================================================================
@@ -373,7 +394,6 @@ class Fig9Result:
     )
     # (config, budget, subset size, cycles incII, cycles spill,
     #  cycles best-of-all, ideal cycles)
-    engine_run: object | None = field(default=None, repr=False)
 
     def render(self) -> str:
         return format_table(
@@ -390,6 +410,33 @@ class Fig9Result:
         )
 
 
+def plan_fig9(
+    suite: list[Workload] | None = None,
+    machines: list[MachineConfig] | None = None,
+    budgets: tuple[int, ...] = DEFAULT_BUDGETS,
+    scheduler: ModuloScheduler | str | None = None,
+) -> Plan:
+    suite, machines = _grid(suite, machines)
+
+    def aggregate(results: list[CellResult]) -> Fig9Result:
+        groups = _by_group(results)
+        result = Fig9Result(suite_size=len(suite))
+        for machine in machines:
+            spec = machine_spec(machine)
+            for budget in budgets:
+                rows = [
+                    r for r in groups[(spec, budget, "")] if r.data["included"]
+                ]
+                result.rows.append((
+                    machine.name, budget, len(rows),
+                    _total(rows, "inc_cycles"), _total(rows, "spill_cycles"),
+                    _total(rows, "best_cycles"), _total(rows, "ideal_cycles"),
+                ))
+        return result
+
+    return Plan(_suite_cells("fig9", suite, machines, budgets, scheduler), aggregate)
+
+
 def run_fig9(
     suite: list[Workload] | None = None,
     machines: list[MachineConfig] | None = None,
@@ -397,42 +444,4 @@ def run_fig9(
     scheduler: ModuloScheduler | None = None,
     jobs: int = 1,
 ) -> Fig9Result:
-    from repro.eval.engine import machine_spec, run_cells, workload_cells
-
-    suite = suite if suite is not None else perfect_club_like_suite()
-    machines = machines if machines is not None else paper_configurations()
-    cells = []
-    for machine in machines:
-        for budget in budgets:
-            cells.extend(
-                workload_cells(
-                    "fig9", suite, machine, budget=budget,
-                    scheduler=scheduler,
-                )
-            )
-    run = run_cells(cells, jobs=jobs)
-    data = {
-        (r.cell.machine, r.cell.budget, r.cell.workload): r.data
-        for r in run.results
-    }
-    result = Fig9Result(suite_size=len(suite), engine_run=run)
-    for machine in machines:
-        spec = machine_spec(machine)
-        for budget in budgets:
-            rows = [
-                data[(spec, budget, w.name)]
-                for w in suite
-                if data[(spec, budget, w.name)]["included"]
-            ]
-            result.rows.append(
-                (
-                    machine.name,
-                    budget,
-                    len(rows),
-                    sum(row["inc_cycles"] for row in rows),
-                    sum(row["spill_cycles"] for row in rows),
-                    sum(row["best_cycles"] for row in rows),
-                    sum(row["ideal_cycles"] for row in rows),
-                )
-            )
-    return result
+    return plan_fig9(suite, machines, budgets, scheduler).run(jobs)

@@ -17,6 +17,8 @@ Responsibilities (matching what the paper's ICTINEO front-end provides):
 
 from __future__ import annotations
 
+import functools
+
 from repro.graph.ddg import DDG, DepKind, Edge, EdgeKind, Node
 from repro.ir.loop import ArrayRef, LoopBody
 from repro.ir.parser import parse_loop
@@ -25,6 +27,15 @@ from repro.ir.parser import parse_loop
 def ddg_from_source(source: str, name: str = "loop", reuse_loads: bool = True) -> DDG:
     """Parse mini-language *source* and build its dependence graph."""
     return build_ddg(parse_loop(source, name=name), reuse_loads=reuse_loads)
+
+
+@functools.lru_cache(maxsize=512)
+def cached_ddg(source: str, name: str) -> DDG:
+    """The process-wide parse of *source* as loop *name*: one
+    :func:`ddg_from_source` call per distinct pair while it stays among
+    the 512 most recently used (thread-safe).  The graph is shared by
+    every caller, so treat it as read-only."""
+    return ddg_from_source(source, name=name)
 
 
 def build_ddg(body: LoopBody, reuse_loads: bool = True) -> DDG:

@@ -578,11 +578,7 @@ class CompileService:
         local one.  One cell batch runs at a time (cell evaluation
         shares the process-wide memos).
         """
-        from repro.eval.engine import (
-            cell_from_wire,
-            routed_through,
-            run_cells,
-        )
+        from repro.eval.engine import cell_from_wire, run_cells
 
         cells = [cell_from_wire(document) for document in cell_documents]
         with self._lock:
@@ -598,10 +594,7 @@ class CompileService:
             if self.pipeline.cache is not None
             else contextlib.nullcontext()
         )
-        # routed_through(None): this is the shard end of the routing —
-        # cells must evaluate HERE even when this process also holds a
-        # ClusterClient context (in-process daemons in tests)
-        with self._cells_lock, context, routed_through(None):
+        with self._cells_lock, context:
             cache_before = STATS.snapshot()
             run = run_cells(cells, jobs=self.jobs)
             delta = STATS.delta(cache_before)

@@ -321,6 +321,8 @@ class TestPipeline:
         # parsed by several threads at once (ClusterClient.shard_key
         # does this from its fan-out pool): two threads evicting the
         # same oldest entry must both succeed
+        from repro.graph.builder import cached_ddg
+
         pipeline = Pipeline()
         sources = [f"a{n}[i] = b{n}[i] + c" for n in range(1200)]
         errors = []
@@ -347,7 +349,13 @@ class TestPipeline:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        assert len(pipeline._ddg_cache) <= 512
+        info = cached_ddg.cache_info()
+        assert info.maxsize == 512
+        assert info.currsize <= 512
+        # one process-wide parse per source, shared with the sweep engine
+        source = sources[0]
+        assert pipeline.ddg(source, "l") is cached_ddg(source, "l")
+        assert Pipeline().ddg(source, "l") is pipeline.ddg(source, "l")
 
 
 BATCH = [
@@ -561,7 +569,6 @@ class TestEngineIntegration:
         from repro.machine import p2l4
 
         result = run_fig4(machine=p2l4(), jobs=1)
-        assert result.engine_run is not None
         assert set(result.trails) == {"apsi47_like", "apsi50_like"}
         assert result.trails["apsi47_like"][0][1] > 32
         assert set(result.converged["apsi47_like"]) == {32, 16}

@@ -192,6 +192,18 @@ class TestSweep:
                 "--scheduler", "hrms,vliw9000",
             ])
 
+    @pytest.mark.parametrize("axis", [
+        ["--artifacts", "table1", "table1"],
+        ["--budgets", "32", "32"],
+        ["--machines", "P2L4", "p2l4"],
+    ])
+    def test_sweep_duplicate_axis(self, axis):
+        with pytest.raises(SystemExit, match="repro sweep: duplicate"):
+            main([
+                "sweep", "--size", "3", "--machines", "P2L4",
+                "--budgets", "32", "--artifacts", "table1", *axis,
+            ])
+
     def test_sweep_suite_filter(self, tmp_path):
         import json
 

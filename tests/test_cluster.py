@@ -35,7 +35,6 @@ from repro.cluster import ClusterClient, HashRing, parse_addresses
 from repro.eval.engine import (
     cell_from_wire,
     cell_to_wire,
-    routed_through,
     run_cells,
     run_sweep,
     workload_cells,
@@ -272,8 +271,7 @@ class TestClusterClient:
         )
         local = run_cells(cells)
         with ClusterClient(addresses, token="secret") as cluster:
-            with routed_through(cluster):
-                remote = run_cells(cells)
+            remote = run_cells(cells, cluster=cluster)
         assert [r.cell for r in remote.results] == \
             [r.cell for r in local.results]
         assert [r.data for r in remote.results] == \

@@ -143,6 +143,39 @@ class TestDeterminismAcrossHashSeeds:
         assert outputs[0] == outputs[1]
 
 
+class TestGoldenBytes:
+    #: sha256 of the --json-out file of GOLDEN_SWEEP; a change means the
+    #: sweep's bytes moved (re-pin only for an intended output change)
+    GOLDEN_SHA256 = (
+        "546b378b2494f1e5887a6c9421037ca035e50fcd28b13ed8f76ccc1018070120"
+    )
+    GOLDEN_SWEEP = [
+        "sweep", "--size", "10", "--machines", "P2L4", "--budgets", "32",
+        "--artifacts", "table1", "fig4", "fig7", "fig8", "fig9",
+        "--scheduler", "hrms,ims,swing",
+    ]
+
+    def test_every_artifact_and_scheduler_pinned(self, tmp_path):
+        """Sweep bytes are compared across commits, not only across
+        seeds, job counts and transports within one."""
+        import hashlib
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = tmp_path / "golden.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro", *self.GOLDEN_SWEEP,
+             "--json-out", str(out)],
+            cwd=root, check=True, stdout=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                     PYTHONHASHSEED="0"),
+        )
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_SHA256
+
+
 class TestCacheAccounting:
     def test_repeated_batch_hits_cache(self, tiny_suite):
         sched_cache.clear()
@@ -194,17 +227,30 @@ class TestSweepJson:
         for row in json.loads(text)["artifacts"]["fig8"]["rows"]:
             assert "seconds" not in row
 
-    def test_artifact_rows_match_driver_results(self, tiny_suite):
-        from repro.eval import run_table1
+    @pytest.mark.parametrize("artifact", [
+        "table1", "fig4", "fig7", "fig8", "fig9",
+    ])
+    def test_artifact_rows_match_driver_results(self, tiny_suite, artifact):
+        """The one-call sweep plan aggregates every artifact exactly as
+        its stand-alone ``run_*`` driver does."""
+        from repro.eval import experiments
+        from repro.eval.engine import _artifact_json
 
+        machine = p2l4()
+        drivers = {
+            "table1": lambda: experiments.run_table1(tiny_suite, [machine]),
+            "fig4": lambda: experiments.run_fig4(machine),
+            "fig7": lambda: experiments.run_fig7(machine),
+            "fig8": lambda: experiments.run_fig8(tiny_suite, [machine]),
+            "fig9": lambda: experiments.run_fig9(tiny_suite, [machine]),
+        }
         report = run_sweep(
-            suite=tiny_suite, machines=[p2l4()], artifacts=("table1",),
+            suite=tiny_suite, machines=[machine],
+            artifacts=("table1", "fig4", "fig7", "fig8", "fig9"),
         )
-        direct = run_table1(tiny_suite, machines=[p2l4()])
-        assert [
-            tuple(row)
-            for row in report.to_json()["artifacts"]["table1"]["rows"]
-        ] == direct.rows
+        direct = _artifact_json(artifact, drivers[artifact]())
+        assert report.to_json()["artifacts"][artifact] == direct
+        assert all(direct.values())  # nothing compared vacuously
 
     def test_unknown_artifact_rejected(self, tiny_suite):
         with pytest.raises(ValueError):
@@ -247,12 +293,16 @@ class TestMultiSchedulerSweep:
         assert sorted(document["artifacts"]) == ["table1"]
         assert document["suite"]["schedulers"] == ["swing"]
 
-    def test_duplicate_schedulers_rejected(self, tiny_suite):
+    @pytest.mark.parametrize("axis", [
+        dict(scheduler=["hrms", "hrms"]),
+        dict(artifacts=("table1", "table1")),
+        dict(budgets=(32, 32)),
+        dict(machines=[p2l4(), resolve_machine("p2l4")]),
+    ], ids=["schedulers", "artifacts", "budgets", "machines"])
+    def test_duplicate_axis_rejected(self, tiny_suite, axis):
+        kwargs = {"suite": tiny_suite, "artifacts": ("table1",), **axis}
         with pytest.raises(ValueError, match="duplicate"):
-            run_sweep(
-                suite=tiny_suite, artifacts=("table1",),
-                scheduler=["hrms", "hrms"],
-            )
+            run_sweep(**kwargs)
 
 
 class TestSuiteFilter:

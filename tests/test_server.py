@@ -824,15 +824,19 @@ class TestResponseMemo:
     def test_miss_compiles_the_graph_submit_parsed(self, service,
                                                    monkeypatch):
         import repro.api
+        import repro.graph.builder
 
         parses = []
         real = repro.api.ddg_from_source
-        monkeypatch.setattr(
-            repro.api, "ddg_from_source",
-            lambda *args, **kwargs: parses.append(args) or real(
-                *args, **kwargs
-            ),
-        )
+
+        def counting(*args, **kwargs):
+            parses.append(args)
+            return real(*args, **kwargs)
+
+        # every module binding of the parser: the batch parses through
+        # repro.api, Pipeline.ddg through the shared cache in the builder
+        for module in (repro.api, repro.graph.builder):
+            monkeypatch.setattr(module, "ddg_from_source", counting)
         request = {"loop": fresh_loop(), "registers": 16}
         (expected,) = direct_documents([request])
         parses.clear()
