@@ -93,7 +93,7 @@ def _group_offsets(
 
 
 # ----------------------------------------------------------------------
-#: A unit's external dependences: ``(node, lag, distance)`` triples.
+#: A unit's external dependences: ``(node, lag or offset, distance)``.
 Deps = tuple[tuple[str, int, int], ...]
 
 
@@ -127,6 +127,10 @@ class Plan:
     outputs: dict[str, Deps]
     #: HRMS-family schedulers add the ordering's inputs.
     ordering: OrderPlan | None = None
+    #: Swing adds each unit's external dependences keyed by leader as
+    #: ``(inputs, outputs)`` of ``(node, offset, distance)``, where
+    #: ``offset`` is the member's: what a lifetime's stretch needs.
+    neighbours: dict[str, tuple[Deps, Deps]] | None = None
 
 
 def plan_units(ddg: DDG, latencies: dict[str, int]) -> Plan:
@@ -201,26 +205,45 @@ def latest_start(
     return bound
 
 
+def fit_unit(
+    mrt: ModuloReservationTable, ddg: DDG, unit: Unit, leader_time: int
+) -> list[Fit] | None:
+    """Where every member fits at its offset from *leader_time* — each
+    against the table plus the members fitted before it — or ``None``.
+    Does not change the table."""
+    fits: list[Fit] = []
+    nodes = ddg.nodes
+    for member, offset in unit.members.items():
+        fit = mrt.fit(nodes[member].opcode, leader_time + offset, fits)
+        if fit is None:
+            return None
+        fits.append(fit)
+    return fits
+
+
+def commit_unit(
+    mrt: ModuloReservationTable, unit: Unit, fits: list[Fit]
+) -> None:
+    """Reserve the slots :func:`fit_unit` found for *unit*."""
+    for member, fit in zip(unit.members, fits):
+        mrt.commit(member, fit)
+
+
 def try_place_unit(
     mrt: ModuloReservationTable, ddg: DDG, unit: Unit, leader_time: int
 ) -> bool:
-    """Place every member at its offset, or nothing: all members are fitted
-    (each against the table plus the members fitted before it) before any
-    is committed, so a resource conflict leaves the table untouched."""
-    if len(unit.members) == 1:
+    """Place every member at its offset, or nothing: a resource conflict
+    leaves the table untouched."""
+    if len(unit.members) == 1:  # the common case, without a fit list
         fit = mrt.fit(ddg.nodes[unit.leader].opcode, leader_time)
         if fit is None:
             return False
         mrt.commit(unit.leader, fit)
         return True
-    fits: list[Fit] = []
-    for member, offset in unit:
-        fit = mrt.fit(ddg.nodes[member].opcode, leader_time + offset, fits)
-        if fit is None:
-            return False
-        fits.append(fit)
-    for member, fit in zip(unit.members, fits):
-        mrt.commit(member, fit)
+    fits = fit_unit(mrt, ddg, unit, leader_time)
+    if fits is None:
+        return False
+    commit_unit(mrt, unit, fits)
     return True
 
 

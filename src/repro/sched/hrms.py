@@ -23,7 +23,7 @@ from repro.graph.analysis import asap_alap
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.machine.mrt import ModuloReservationTable
-from repro.sched.base import Effort, ModuloScheduler, SearchEffort
+from repro.sched.base import ModuloScheduler, SearchEffort
 from repro.sched.groups import (
     Plan,
     Unit,
@@ -69,7 +69,7 @@ class HRMSScheduler(ModuloScheduler):
             if unit.leader in done:
                 continue
             window = self._window(unit, plan, ii, times, depth)
-            placed_at = self._scan(mrt, ddg, unit, window, effort)
+            placed_at = self._scan(mrt, ddg, unit, window, times, effort)
             if placed_at is None:
                 return None
             for member, offset in unit:
@@ -104,8 +104,11 @@ class HRMSScheduler(ModuloScheduler):
         ddg: DDG,
         unit: Unit,
         window: range,
-        effort: Effort,
+        times: dict[str, int],
+        effort: SearchEffort,
     ) -> int | None:
+        """Place *unit* at the first free slot of *window*.  *times*, the
+        starts placed so far, is for subclasses that weigh the slots."""
         for candidate in window:
             effort.placements += 1
             if try_place_unit(mrt, ddg, unit, candidate):

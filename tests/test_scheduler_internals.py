@@ -1,12 +1,19 @@
 """White-box tests for scheduler internals: IMS eviction, Swing slot
 choice, and the base-class search loop."""
 
-import pytest
+import sys
+import threading
 
+import pytest
+from swing_scan_reference import lifetime_cost, swing_scan_reference
+
+from repro.api import compile_loop
 from repro.graph import ddg_from_source
 from repro.graph.ddg import DDG, Edge, EdgeKind, Node
+from repro.graph.index import WORK
 from repro.ir.operations import Opcode
 from repro.machine import generic_machine, p1l4, p2l4
+from repro.machine.mrt import ModuloReservationTable
 from repro.sched import (
     Effort,
     HRMSScheduler,
@@ -14,7 +21,10 @@ from repro.sched import (
     SwingScheduler,
     compute_mii,
 )
-from repro.workloads import NAMED_KERNELS
+from repro.sched import cache as sched_cache
+from repro.sched.groups import earliest_start, fit_unit, latest_start
+from repro.workloads import NAMED_KERNELS, random_suite
+from repro.workloads.suite import perfect_club_like_suite
 
 
 class TestIMSEviction:
@@ -72,7 +82,8 @@ class TestSwingSlotChoice:
         machine = p2l4()
         swing = SwingScheduler().schedule(ddg, machine)
         hrms = HRMSScheduler().schedule(ddg, machine)
-        # Swing probes every feasible slot; HRMS stops at the first fit.
+        # Swing counts every window slot (it probes them up to the cost
+        # minimum); HRMS stops at the first fit.
         assert swing.effort_placements >= hrms.effort_placements
 
     def test_swing_handles_groups(self, fig2_loop, fig2_machine):
@@ -84,6 +95,133 @@ class TestSwingSlotChoice:
         )
         assert result.converged
         result.schedule.validate()
+
+
+def _copy_table(mrt: ModuloReservationTable) -> ModuloReservationTable:
+    copy = ModuloReservationTable(mrt.machine, mrt.ii)
+    copy._masks = {fu: list(row) for fu, row in mrt._masks.items()}
+    copy._placements = dict(mrt._placements)
+    return copy
+
+
+class _CheckedSwing(SwingScheduler):
+    """Swing whose every scan is checked against the place/measure/remove
+    reference and against a brute-force pass over the window."""
+
+    def __init__(self):
+        self.shapes: set[tuple[str, bool]] = set()
+        self.probes = {"scan": 0, "window": 0}
+
+    def _scan(self, mrt, ddg, unit, window, times, effort):
+        plan, ii = effort.plan, mrt.ii
+        has_inputs = earliest_start(plan, unit, ii, times) is not None
+        has_outputs = latest_start(plan, unit, ii, times) is not None
+        if has_inputs and has_outputs:
+            shape = "intersection"
+        else:
+            shape = "descending" if window.step < 0 else "ascending"
+        self.shapes.add((shape, unit.is_group))
+
+        pristine = _copy_table(mrt)
+        reference = _copy_table(mrt)
+        reference_effort = Effort()
+        expected = swing_scan_reference(
+            reference, ddg, unit, window, times, reference_effort
+        )
+
+        placements = effort.placements
+        probes = WORK.mrt_probes
+        slot = super()._scan(mrt, ddg, unit, window, times, effort)
+        self.probes["scan"] += WORK.mrt_probes - probes
+
+        assert slot == expected
+        assert effort.placements - placements == reference_effort.placements
+        assert mrt._masks == reference._masks
+        assert mrt._placements == reference._placements
+
+        # brute force: no feasible window slot has a lower (cost, index)
+        probes = WORK.mrt_probes
+        feasible = [
+            (lifetime_cost(ddg, unit, candidate, ii, times), index, candidate)
+            for index, candidate in enumerate(window)
+            if fit_unit(pristine, ddg, unit, candidate) is not None
+        ]
+        self.probes["window"] += WORK.mrt_probes - probes
+        assert slot == (min(feasible)[2] if feasible else None)
+        return slot
+
+
+class TestSwingScanOracle:
+    def test_scan_matches_place_measure_remove(self):
+        """The plan-cost scan with its early exit chooses the reference's
+        slot, counts its placements and leaves its table, on spilled
+        graphs with fused groups, in every window shape."""
+        scheduler = _CheckedSwing()
+        runs = [
+            (perfect_club_like_suite(size=40, seed=1996), "P2L4"),
+            (random_suite(size=8, seed=7), "P1L4"),
+        ]
+        with sched_cache.disabled():
+            for suite, machine in runs:
+                for workload in suite:
+                    compile_loop(
+                        workload.ddg, machine, scheduler=scheduler,
+                        strategy="spill", registers=8,
+                    )
+        assert scheduler.shapes == {
+            (shape, group)
+            for shape in ("ascending", "descending", "intersection")
+            for group in (False, True)
+        }
+        # the early exit leaves part of the windows unprobed
+        assert scheduler.probes["scan"] < scheduler.probes["window"]
+
+
+class TestSwingSharedInstance:
+    def test_schedule_leaves_no_state_on_the_instance(self):
+        scheduler = SwingScheduler()
+        before = dict(vars(scheduler))
+        ddg = ddg_from_source(NAMED_KERNELS["stencil5"], name="stencil5")
+        scheduler.schedule(ddg, p2l4())
+        assert vars(scheduler) == before
+
+    def test_threads_sharing_an_instance_match_serial(self):
+        """``Pipeline(scheduler="swing")`` shares one instance between
+        the threads that call ``compile``."""
+        suite = perfect_club_like_suite(size=40, seed=1996)
+        machine = p2l4()
+        scheduler = SwingScheduler()
+
+        def run():
+            return [
+                (schedule.ii, schedule.times)
+                for schedule in (
+                    scheduler.schedule(workload.ddg, machine)
+                    for workload in suite
+                )
+            ]
+
+        results: dict[int, list] = {}
+        interval = sys.getswitchinterval()
+        with sched_cache.disabled():
+            serial = run()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(
+                        target=lambda k=k: results.__setitem__(k, run())
+                    )
+                    for k in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            finally:
+                sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for threaded in results.values():
+            assert threaded == serial
 
 
 class TestBaseSearch:
