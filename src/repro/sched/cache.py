@@ -18,7 +18,8 @@ namespace:
   single-II attempt.  Failed searches re-raise their
   :class:`~repro.sched.base.ScheduleError`.  In-memory entries are
   revalidated against their graph's current fingerprint, so a mutated
-  graph can never leak a stale schedule.
+  graph can never leak a stale schedule.  The store keeps only the II,
+  the times and the effort, rebuilt on the caller's graph on a hit.
 * ``spill`` (:class:`DriverMemo`) — ``(fingerprint, machine, scheduler,
   budget, options)`` → a whole spilling-driver run, copied out on every
   hit: ``fig9`` and the combined method run that driver back to back.
@@ -49,6 +50,7 @@ from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.sched import store as _store_mod
 from repro.sched.mii import compute_mii
+from repro.sched.schedule import Schedule
 from repro.trace.profile import phase
 
 _MAX_ENTRIES = 4096
@@ -160,7 +162,9 @@ class Memo:
     :data:`_MAX_ENTRIES` entries and evicts the oldest first.  Every
     :meth:`get` counts ``STATS.<namespace>_hits`` or ``_misses`` once.
 
-    A store value that is not a *kind* reads as a miss, and an in-memory
+    The store keeps :meth:`_encode`'s form of a value, and a store hit
+    is :meth:`_decode`'d back; by default both are the value itself, and
+    a store value that is not a *kind* reads as a miss.  An in-memory
     entry :meth:`_fresh` rejects is looked up in the store again.
     ``None`` is never a value: it means absent.
 
@@ -185,7 +189,16 @@ class Memo:
         """Whether an in-memory *value* may still be served."""
         return True
 
-    def get(self, key: tuple, store=None):
+    def _encode(self, value):
+        """What the store keeps for *value* (the value itself here)."""
+        return value
+
+    def _decode(self, stored, context):
+        """The in-memory value for a *stored* one, or None to read it as
+        a miss.  *context* is what the caller passed to :meth:`get`."""
+        return stored if isinstance(stored, self._kind) else None
+
+    def get(self, key: tuple, store=None, context=None):
         """The value for *key*, or None (counted as a miss)."""
         value = self._entries.get(key)
         if value is None or not self._fresh(key, value):
@@ -197,7 +210,8 @@ class Memo:
                     STATS.store_misses += 1
                 else:
                     STATS.store_hits += 1
-            if value is None or not isinstance(value, self._kind):
+                    value = self._decode(value, context)
+            if value is None:
                 setattr(STATS, self._misses, getattr(STATS, self._misses) + 1)
                 return None
             self._install(key, value)
@@ -209,7 +223,7 @@ class Memo:
         self._install(key, value)
         store = _persistent_store(store)
         if store is not None:
-            store.put(self.namespace, key, value)
+            store.put(self.namespace, key, self._encode(value))
 
     def _install(self, key: tuple, value) -> None:
         if len(self._entries) >= _MAX_ENTRIES:
@@ -387,23 +401,70 @@ def cached_mii(ddg: DDG, machine: MachineConfig) -> int:
 @dataclass
 class _MemoEntry:
     ddg: DDG
-    fingerprint: str
-    schedule: object | None  # Schedule on success
-    error: str | None        # ScheduleError message on failure
+    schedule: Schedule | None  # None: a failed search or attempt
+    error: str | None          # ScheduleError message of a failed search
 
 
 class ScheduleMemo(Memo):
     """Memo for II searches (``ModuloScheduler.schedule``) and single-II
-    attempts (``try_schedule_at``) in the ``schedule`` namespace."""
+    attempts (``try_schedule_at``) in the ``schedule`` namespace.
+
+    The store keeps only what a caller cannot rebuild: ``(ii, times
+    items, scheduler name, effort placements, effort attempts, error)``,
+    with ``ii`` ``None`` for a failed search or attempt.  The key names
+    the caller's graph and machine, so a store hit rebuilds the
+    :class:`~repro.sched.schedule.Schedule` on exactly those; a stored
+    tuple of another shape, or whose node names are not the graph's,
+    reads as a miss."""
 
     def __init__(self) -> None:
-        super().__init__("schedule", kind=_MemoEntry)
+        super().__init__("schedule")
+
+    def get(self, key: tuple, ddg: DDG, machine: MachineConfig, store=None):
+        """The entry for *key*, which names *ddg* and *machine*."""
+        return super().get(key, store, (ddg, machine))
 
     def _fresh(self, key: tuple, entry: _MemoEntry) -> bool:
         """Whether an in-memory entry's graph still has the content
-        *key* names.  Store entries skip this: they are freshly
-        unpickled objects no caller has ever held."""
+        *key* names."""
         return ddg_fingerprint(entry.ddg) == key[0]
+
+    def _encode(self, entry: _MemoEntry) -> tuple:
+        schedule = entry.schedule
+        if schedule is None:
+            return (None, (), None, 0, 0, entry.error)
+        return (
+            schedule.ii, tuple(schedule.times.items()), schedule.scheduler,
+            schedule.effort_placements, schedule.effort_attempts, None,
+        )
+
+    def _decode(self, stored, context) -> _MemoEntry | None:
+        ddg, machine = context
+        if type(stored) is not tuple or len(stored) != 6:
+            return None
+        ii, items, scheduler, placements, attempts, error = stored
+        if type(items) is not tuple or not (
+            error is None or type(error) is str
+        ):
+            return None
+        try:
+            times = dict(items)
+        except (TypeError, ValueError):
+            return None
+        if ii is None:
+            return None if times else _MemoEntry(ddg, None, error)
+        if not (
+            type(ii) is int and ii > 0 and error is None
+            and type(scheduler) is str
+            and type(placements) is int and type(attempts) is int
+            and len(items) == len(times)
+            and times.keys() == ddg.nodes.keys()
+            and all(type(t) is int for t in times.values())
+        ):
+            return None
+        return _MemoEntry(ddg, Schedule(
+            ddg, machine, ii, times, scheduler, placements, attempts,
+        ), None)
 
     def schedule(
         self,
@@ -414,8 +475,8 @@ class ScheduleMemo(Memo):
         max_ii: int | None = None,
     ):
         """Like ``scheduler.schedule(...)`` but memoized; failed searches
-        re-raise their :class:`~repro.sched.base.ScheduleError`.  On a
-        hit the returned schedule may be built on a different,
+        re-raise their :class:`~repro.sched.base.ScheduleError`.  On an
+        in-memory hit the returned schedule may be built on a different,
         content-identical DDG instance."""
         return self._lookup(
             scheduler, ddg, machine, (min_ii, max_ii),
@@ -452,7 +513,7 @@ class ScheduleMemo(Memo):
             scheduler_key(scheduler),
             *tail,
         )
-        entry = self.get(key)
+        entry = self.get(key, ddg, machine)
         if entry is None:
             # Imported off the hit path: repro.sched.base imports this
             # module, and an import statement costs on every call.
@@ -462,11 +523,9 @@ class ScheduleMemo(Memo):
                 with phase("schedule"):
                     schedule = compute()
             except ScheduleError as error:
-                self.put(key, _MemoEntry(ddg, key[0], None, str(error)))
+                self.put(key, _MemoEntry(ddg, None, str(error)))
                 raise
-            # Pickling snapshots the graph/schedule content as of now —
-            # later caller-side mutation cannot reach the disk entry.
-            self.put(key, _MemoEntry(ddg, key[0], schedule, None))
+            self.put(key, _MemoEntry(ddg, schedule, None))
             return schedule
         if entry.error is not None:
             from repro.sched.base import ScheduleError

@@ -26,9 +26,13 @@ Design:
   entry loads as a miss — the caller recomputes and the next
   :meth:`ScheduleStore.put` rewrites the file.  A load must never raise.
 * **Eviction.**  The store is capped (:attr:`ScheduleStore.max_bytes`,
-  default 512 MiB).  Every :data:`_EVICT_EVERY` writes the directory is
-  scanned and the oldest entries (by mtime) are removed until the total
-  drops below the cap.
+  default 512 MiB).  A writer scans the directory once, at its first
+  write, and then adds each entry it writes to that byte estimate.  It
+  scans again, removing the oldest entries (by mtime) until the total
+  drops below the cap, when the estimate passes the cap or when it has
+  written a sixteenth of the cap since its last scan; so each writer
+  process overshoots by at most that much.  Opening a store and reading
+  from it never scan.
 
 One store is *active* per process at a time: :func:`configure` installs
 one (the ``REPRO_CACHE_DIR`` environment variable supplies a default),
@@ -52,10 +56,9 @@ from repro.faults import plan as faults
 
 #: Bump to invalidate every existing on-disk entry (the version is part
 #: of the hashed key material *and* checked in the entry header).
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _MAGIC = b"repro-store\x00"
-_EVICT_EVERY = 64
 
 #: Consecutive ``put`` I/O failures before the store flips to degraded
 #: (in-memory-only) mode instead of hammering a dead disk.
@@ -88,7 +91,10 @@ class ScheduleStore:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.version = version
-        self._puts_since_evict = 0
+        # Bytes on disk as of this process's last scan (None: not yet
+        # scanned), and bytes this process has written since.
+        self._scanned_bytes: int | None = None
+        self._written_since_scan = 0
         self.write_errors = 0
         self._consecutive_write_errors = 0
         self._degraded = False
@@ -209,10 +215,14 @@ class ScheduleStore:
         except Exception:
             return False
         self._consecutive_write_errors = 0
-        self._puts_since_evict += 1
-        if self._puts_since_evict >= _EVICT_EVERY:
-            self._puts_since_evict = 0
-            self.evict()
+        self._written_since_scan += len(blob)
+        if (
+            self._scanned_bytes is None
+            or self._scanned_bytes + self._written_since_scan > self.max_bytes
+            or self._written_since_scan >= self.max_bytes // 16
+        ):
+            self._scanned_bytes = self.evict()
+            self._written_since_scan = 0
         return True
 
     def _memory_put(self, namespace: str, key: tuple, payload: bytes) -> bool:

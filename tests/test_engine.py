@@ -155,25 +155,45 @@ class TestGoldenBytes:
         "--scheduler", "hrms,ims,swing",
     ]
 
-    def test_every_artifact_and_scheduler_pinned(self, tmp_path):
-        """Sweep bytes are compared across commits, not only across
-        seeds, job counts and transports within one."""
+    def _sweep(self, out, *options):
+        """Run GOLDEN_SWEEP in a fresh process; ``(sha256 of its JSON,
+        its stdout)``."""
         import hashlib
         import os
         import subprocess
         import sys
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        out = tmp_path / "golden.json"
-        subprocess.run(
-            [sys.executable, "-m", "repro", *self.GOLDEN_SWEEP,
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *self.GOLDEN_SWEEP, *options,
              "--json-out", str(out)],
-            cwd=root, check=True, stdout=subprocess.DEVNULL,
+            cwd=root, check=True, stdout=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                      PYTHONHASHSEED="0"),
         )
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        return hashlib.sha256(out.read_bytes()).hexdigest(), completed.stdout
+
+    def test_every_artifact_and_scheduler_pinned(self, tmp_path):
+        """Sweep bytes are compared across commits, not only across
+        seeds, job counts and transports within one."""
+        digest, _ = self._sweep(tmp_path / "golden.json")
         assert digest == self.GOLDEN_SHA256
+
+    def test_warm_store_run_is_pinned_and_computes_no_schedule(
+        self, tmp_path
+    ):
+        """A fresh process that reads every schedule from a store filled
+        by another process writes the pinned bytes."""
+        import re
+
+        cache_dir = str(tmp_path / "store")
+        cold, _ = self._sweep(tmp_path / "cold.json", "--cache-dir", cache_dir)
+        warm, summary = self._sweep(
+            tmp_path / "warm.json", "--cache-dir", cache_dir
+        )
+        assert cold == warm == self.GOLDEN_SHA256
+        assert re.search(r"schedule \d+/0,", summary), summary
+        assert re.search(r"store \d+/0 ", summary), summary
 
 
 class TestCacheAccounting:

@@ -76,9 +76,40 @@ class TestStoreBasics:
 
     def test_eviction_respects_cap(self, tmp_path):
         store = ScheduleStore(tmp_path, max_bytes=2048)
-        for i in range(256):  # multiple of the eviction period
+        for i in range(256):
             store.put("mii", ("k", i), b"x" * 64)
         assert store.total_bytes() <= 2048
+
+    @staticmethod
+    def _count_scans(store, monkeypatch):
+        scans = []
+        entries = store.entries
+        monkeypatch.setattr(
+            store, "entries", lambda: scans.append(1) or entries()
+        )
+        return scans
+
+    def test_puts_under_the_cap_scan_once(self, tmp_path, monkeypatch):
+        ScheduleStore(tmp_path).put("mii", ("old",), 1)
+        store = ScheduleStore(tmp_path)
+        scans = self._count_scans(store, monkeypatch)
+        assert store.get("mii", ("old",)) == 1
+        assert scans == []  # opening and reading never scan
+        for i in range(200):
+            store.put("mii", ("k", i), b"x" * 64)
+        assert len(scans) == 1
+        assert len(store.entries()) == 201
+
+    def test_writer_rescans_after_a_sixteenth_of_the_cap(
+        self, tmp_path, monkeypatch
+    ):
+        store = ScheduleStore(tmp_path, max_bytes=16 * 10_000)
+        scans = self._count_scans(store, monkeypatch)
+        for i in range(5):  # one scan, then four ~2 kB entries
+            store.put("mii", ("k", i), b"x" * 2000)
+        assert len(scans) == 1
+        store.put("mii", ("k", 5), b"x" * 2000)  # past 10 kB written
+        assert len(scans) == 2
 
     def test_unpicklable_value_is_a_soft_failure(self, tmp_path):
         store = ScheduleStore(tmp_path)
@@ -273,11 +304,17 @@ class TestMemoReadThrough:
     def test_failed_search_is_persisted_and_reraises(self, tmp_path):
         ddg, machine = self._context()
         scheduler = HRMSScheduler()
-        with sched_store.using(tmp_path):
+        with sched_store.using(tmp_path) as store:
             with pytest.raises(ScheduleError) as first:
                 sched_cache.schedule_memo().schedule(
                     scheduler, ddg, machine, max_ii=0
                 )
+            key = (sched_cache.ddg_fingerprint(ddg),
+                   sched_cache.machine_key(machine),
+                   sched_cache.scheduler_key(scheduler), None, 0)
+            assert store.get("schedule", key) == (
+                None, (), None, 0, 0, str(first.value)
+            )
             sched_cache.clear()
             with pytest.raises(ScheduleError) as second:
                 sched_cache.schedule_memo().schedule(
@@ -349,6 +386,12 @@ class TestMemoReadThrough:
         before = sched_cache.STATS.snapshot()
         if isinstance(memo, sched_cache.DriverMemo):
             value = memo.get(key, lambda entry: entry)
+        elif isinstance(memo, sched_cache.ScheduleMemo):
+            # a schedule entry is rebuilt on the graph and machine its
+            # key names: the seeding run's first key is the input graph's
+            ddg, machine = self._context()
+            assert key[0] == sched_cache.ddg_fingerprint(ddg)
+            value = memo.get(key, ddg, machine)
         else:
             value = memo.get(key)
         return value, sched_cache.STATS.delta(before)
@@ -414,6 +457,125 @@ class TestMemoReadThrough:
         assert (schedule.ii, schedule.times) == (expected.ii, expected.times)
         assert sched_cache.STATS.schedule_hits == 0
         assert sched_cache.STATS.schedule_misses == 1
+
+
+# ----------------------------------------------------------------------
+class TestCompactScheduleEntry:
+    """A ``schedule`` store entry is ``(ii, times items, scheduler,
+    placements, attempts, error)``; a hit is rebuilt on the caller's
+    graph and machine, and any other stored value reads as a miss."""
+
+    def _key(self, scheduler, ddg, machine, *tail):
+        return (sched_cache.ddg_fingerprint(ddg),
+                sched_cache.machine_key(machine),
+                sched_cache.scheduler_key(scheduler), *(tail or (None, None)))
+
+    def test_store_hit_is_built_on_the_callers_graph(self, tmp_path):
+        machine = resolve_machine("P2L4")
+        scheduler = HRMSScheduler()
+        memo = sched_cache.schedule_memo()
+        with sched_store.using(tmp_path) as store:
+            first = memo.schedule(
+                scheduler, ddg_from_source(FIG2, name="fig2"), machine
+            )
+            sched_cache.clear()
+            caller = ddg_from_source(FIG2, name="fig2")
+            second = memo.schedule(scheduler, caller, machine)
+            stored = store.get(
+                "schedule", self._key(scheduler, caller, machine)
+            )
+        assert second.ddg is caller
+        assert second.machine is machine
+        assert list(second.times.items()) == list(first.times.items())
+        for field in dataclasses.fields(first):  # a new field needs storing
+            if field.name not in ("ddg", "machine"):
+                assert getattr(second, field.name) == getattr(
+                    first, field.name
+                ), field.name
+        assert stored == (
+            first.ii, tuple(first.times.items()), first.scheduler,
+            first.effort_placements, first.effort_attempts, None,
+        )
+        assert (sched_cache.STATS.schedule_misses,
+                sched_cache.STATS.store_hits) == (0, 1)
+
+    def test_failed_attempt_round_trips(self, tmp_path):
+        ddg = ddg_from_source("s = s + x[i]*y[i]", name="dot")
+        machine = resolve_machine("P2L4")
+        scheduler = HRMSScheduler()
+        memo = sched_cache.schedule_memo()
+        with sched_store.using(tmp_path) as store:
+            assert memo.try_at(scheduler, ddg, machine, 2) is None
+            stored = store.get(
+                "schedule", self._key(scheduler, ddg, machine, "at", 2)
+            )
+            sched_cache.clear()
+            assert memo.try_at(scheduler, ddg, machine, 2) is None
+        assert stored == (None, (), None, 0, 0, None)
+        assert (sched_cache.STATS.schedule_hits,
+                sched_cache.STATS.schedule_misses,
+                sched_cache.STATS.store_hits) == (1, 0, 1)
+
+    @staticmethod
+    def _malformed(ddg, schedule):
+        times = tuple(schedule.times.items())
+        good = (schedule.ii, times, schedule.scheduler,
+                schedule.effort_placements, schedule.effort_attempts, None)
+        (first, start), *rest = times
+        return {
+            "arity 5": good[:5],
+            "arity 7": good + (None,),
+            "not a tuple": list(good),
+            "an int": 7,
+            "ii a string": (str(schedule.ii),) + good[1:],
+            "ii a bool": (True,) + good[1:],
+            "ii zero": (0,) + good[1:],
+            "times a list": (good[0], list(times)) + good[2:],
+            "times a dict": (good[0], dict(times)) + good[2:],
+            "times not pairs": (good[0], tuple(schedule.times)) + good[2:],
+            "a time a string": (
+                good[0], ((first, str(start)), *rest)
+            ) + good[2:],
+            "scheduler an int": good[:2] + (1,) + good[3:],
+            "placements a float": good[:3] + (1.0,) + good[4:],
+            "both a schedule and an error": good[:5] + ("failed",),
+            "no schedule with times": (None,) + good[1:],
+            "error an int": (None, (), None, 0, 0, 3),
+            "a foreign node name": (
+                good[0], (("not_a_node", start), *rest)
+            ) + good[2:],
+            "a node missing": (good[0], tuple(rest)) + good[2:],
+            "a node twice": (good[0], times + ((first, start),)) + good[2:],
+            "a v1 entry": sched_cache._MemoEntry(ddg, schedule, None),
+        }
+
+    def test_malformed_entries_read_as_misses(self, tmp_path):
+        ddg = ddg_from_source(FIG2, name="fig2")
+        machine = resolve_machine("P2L4")
+        scheduler = HRMSScheduler()
+        with sched_cache.disabled():
+            expected = scheduler.schedule(ddg, machine)
+        key = self._key(scheduler, ddg, machine)
+        good = (expected.ii, tuple(expected.times.items()),
+                expected.scheduler, expected.effort_placements,
+                expected.effort_attempts, None)
+        cases = self._malformed(ddg, expected)
+        assert len(expected.times) > 1
+        for number, (case, value) in enumerate(cases.items()):
+            sched_cache.clear()
+            with sched_store.using(tmp_path / str(number)) as store:
+                assert store.put("schedule", key, value), case
+                schedule = sched_cache.schedule_memo().schedule(
+                    scheduler, ddg, machine
+                )
+                rewritten = store.get("schedule", key)
+            assert (schedule.ii, schedule.times) == (
+                expected.ii, expected.times
+            ), case
+            assert (sched_cache.STATS.schedule_hits,
+                    sched_cache.STATS.schedule_misses,
+                    sched_cache.STATS.store_hits) == (0, 1, 1), case
+            assert rewritten == good, case
 
 
 # ----------------------------------------------------------------------
@@ -497,24 +659,30 @@ class TestWarmSweepDeterminism:
 
 
 # ----------------------------------------------------------------------
+def _audit_tool():
+    """``tools/audit_store.py``, loaded as a module."""
+    import importlib.util
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "audit_store", os.path.join(root, "tools", "audit_store.py")
+    )
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    return audit
+
+
 class TestPersistedGraphState:
     def test_stored_graphs_carry_no_scratch_state(self, tmp_path):
-        """A tiny cold sweep for every scheduler populates a store; every
-        graph pickled into it carries content and fingerprint only, so
-        nothing a search attaches to a graph reaches disk."""
-        import importlib.util
-
+        """A tiny cold sweep for every scheduler populates a store; no
+        schedule entry holds a graph, and every graph pickled into it
+        carries content and fingerprint only, so nothing a search
+        attaches to a graph reaches disk."""
         from repro.eval.engine import run_sweep
         from repro.machine import p2l4
         from repro.workloads import random_suite
 
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spec = importlib.util.spec_from_file_location(
-            "audit_store", os.path.join(root, "tools", "audit_store.py")
-        )
-        audit = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(audit)
-
+        audit = _audit_tool()
         run_sweep(
             suite=random_suite(size=2, seed=5),
             machines=[p2l4()],
@@ -535,3 +703,14 @@ class TestPersistedGraphState:
             "name", "nodes", "invariants", "live_out", "_out", "_in",
             "revision", "_fingerprint",
         }
+
+    def test_a_graph_in_a_schedule_entry_fails_the_audit(self, tmp_path):
+        audit = _audit_tool()
+        ddg = ddg_from_source(FIG2, name="fig2")
+        store = ScheduleStore(tmp_path)
+        store.put("schedule", KEY, sched_cache._MemoEntry(ddg, None, "x"))
+        store.put("spill", KEY, ddg)
+        checked, stray = audit.stray_state(str(tmp_path))
+        assert checked == 2
+        assert stray == {str(store.path_for("schedule", KEY)): ["DDG"]}
+        assert audit.main([str(tmp_path)]) == 1

@@ -1,11 +1,15 @@
-"""Persisted-entry audit: graphs pickled into a schedule store carry
-graph content and its revision-keyed fingerprint only.
+"""Persisted-entry audit: a schedule store holds no graph where it
+needs none, and graphs carry content and their fingerprint only.
 
-A memo entry embeds the graph it was computed for.  Anything else a
-process attaches to a graph — the compiled index, per-search scheduling
-state — would be pickled into every entry and read back by every warm
-process, so this audit loads each entry of a store directory and lists
-the graph attributes outside the allowed set.
+A ``schedule`` entry is ``(ii, times, …)`` and is rebuilt on the
+caller's graph, so a graph inside one is dead weight every warm read
+unpickles.  Entries of other namespaces (``spill`` runs) still embed
+graphs; anything else a process attaches to a graph — the compiled
+index, per-search scheduling state — would be pickled into every such
+entry and read back by every warm process.  This audit loads each entry
+of a store directory and lists the schedule entries holding a graph and
+the graph attributes outside the allowed set.  It fails on either, and
+when the store holds no graph at all (nothing was checked).
 
 Usage::
 
@@ -49,18 +53,22 @@ def graphs_in(value, seen: set[int] | None = None):
 
 
 def stray_state(directory: str) -> tuple[int, dict[str, list[str]]]:
-    """``(graphs checked, entry file → attributes outside ALLOWED)``."""
+    """``(graphs checked, entry file → its findings)``: ``"DDG"`` for a
+    graph in a ``schedule`` entry, then the graph attributes outside
+    :data:`ALLOWED`."""
     from repro.sched.store import ScheduleStore
 
     store = ScheduleStore(directory)
     checked = 0
     stray: dict[str, list[str]] = {}
     for path in sorted(store.entries()):
+        namespace = path.relative_to(store.root).parts[0]
         for graph in graphs_in(store.load(path)):
             checked += 1
-            extra = set(vars(graph)) - ALLOWED
-            if extra:
-                stray[str(path)] = sorted(extra)
+            found = ["DDG"] if namespace == "schedule" else []
+            found += sorted(set(vars(graph)) - ALLOWED)
+            if found:
+                stray[str(path)] = found
     return checked, stray
 
 
