@@ -60,11 +60,12 @@ Subcommands:
   running cluster, and the persisted metrics time series (``cluster
   stats --prune-older-than DAYS`` prunes old rows offline);
 * ``sweep --trace PATH`` / ``serve --trace`` — record end-to-end
-  request traces (client, server, service, worker and per-phase
-  spans) without changing any output byte;
+  request traces (client, server, service and worker spans, each
+  worker span with its per-phase times) without changing any output
+  byte;
 * ``trace show|top|slow`` — inspect persisted traces: span trees,
   the aggregate phase profile, the slowest spans (``--json`` emits
-  the ``repro.trace/1`` document).  See ``docs/OBSERVABILITY.md``.
+  the ``repro.trace/2`` document).  See ``docs/OBSERVABILITY.md``.
 
 ``compile``, ``sweep`` and ``serve`` take ``--cache-dir DIR`` (default:
 ``$REPRO_CACHE_DIR``): a persistent :mod:`repro.sched.store` directory
@@ -92,6 +93,7 @@ from repro.lifetimes import register_requirements
 from repro.machine.specs import machine_names, resolve_machine
 from repro.sched import compute_mii, rec_mii, reduce_stages, res_mii
 from repro.sched.registry import create_scheduler, scheduler_names
+from repro.trace import LAYERS
 
 _SHOW_CHOICES = ("graph", "schedule", "kernel", "lifetimes", "pressure", "all")
 
@@ -308,14 +310,12 @@ def _cmd_suite(args) -> int:
 
 
 def _flush_sweep_trace(path: str) -> None:
-    """Persist every span a traced sweep produced — pool-worker buffers
-    first, then this process's own — into the ``--trace`` database."""
-    from repro import pool
+    """Persist every span a traced sweep produced into the ``--trace``
+    database (pool workers' spans came back with their results)."""
     from repro.metrics import MetricsDB
     from repro.trace import context as trace_context
 
-    spans = list(pool.drain_worker_spans())
-    spans.extend(trace_context.drain_spans())
+    spans = trace_context.drain_spans()
     dropped = trace_context.dropped_count()
     if dropped:
         print(
@@ -378,8 +378,8 @@ def _cmd_sweep(args) -> int:
         from repro import trace as trace_mod
 
         # The env var (not just the in-process switch) so forked pool
-        # workers inherit tracing; worker spans come back through the
-        # pool's span-drain probes after the run.
+        # workers inherit tracing; worker spans come back with the
+        # results of each chunk.
         os.environ[trace_mod.ENV_VAR] = "1"
         trace_mod.enable(True)
     cluster = None
@@ -1043,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record an end-to-end trace of the run (client, service,"
-        " worker and per-phase spans) into this repro.metrics/2"
+        " and worker spans with per-phase times) into this repro.metrics/2"
         " database — sweep output bytes are unchanged; inspect with"
         " 'repro trace show|top|slow --metrics PATH'",
     )
@@ -1293,7 +1293,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         action_parser.add_argument(
             "--json", action="store_true",
-            help="print the full repro.trace/1 export instead of text",
+            help="print the full repro.trace/2 export instead of text",
         )
         if action == "show":
             action_parser.add_argument(
@@ -1308,7 +1308,7 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "slow":
             action_parser.add_argument(
                 "--layer", default=None,
-                choices=("client", "server", "service", "worker", "phase"),
+                choices=LAYERS,
                 help="restrict to one span layer",
             )
         action_parser.set_defaults(func=_cmd_trace)

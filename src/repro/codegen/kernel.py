@@ -32,10 +32,6 @@ class KernelCode:
     prologue: list[tuple[int, list[str]]] = field(default_factory=list)
     epilogue: list[tuple[int, list[str]]] = field(default_factory=list)
 
-    @property
-    def kernel_length(self) -> int:
-        return self.ii
-
     def total_cycles(self, iterations: int) -> int:
         """Cycles to run *iterations* iterations (ramp + steady + drain)."""
         if iterations <= 0:

@@ -10,10 +10,10 @@ this repo's ROADMAP cites:
   safe for many readers while one daemon writes;
 * :mod:`repro.metrics.recorder` — :class:`MetricsRecorder` and
   :class:`LatencyHistogram`, the in-memory accumulation side: cheap
-  thread-safe ``count()``/``observe()``/``record_spans()`` on the hot
-  path, periodic flushes of interval deltas into the database, and
-  bounded-buffer degradation when the database write fails (the
-  ``metrics.put_io`` / ``metrics.db_locked`` fault seams);
+  thread-safe ``count()``/``observe()`` on the hot path, periodic
+  flushes of interval deltas and of :mod:`repro.trace`'s span buffer
+  into the database, and degradation when the database write fails
+  (the ``metrics.put_io`` / ``metrics.db_locked`` fault seams);
 * :mod:`repro.metrics.prom` — the Prometheus text exposition behind the
   daemon's ``/metrics`` endpoint, plus the strict parser the tests and
   CI use to validate it.
@@ -31,7 +31,6 @@ from repro.metrics.db import DB_FILENAME, MetricsDB, metrics_path, percentile
 from repro.metrics.prom import parse_text, render_prometheus
 from repro.metrics.recorder import (
     BUCKET_BOUNDS_MS,
-    SPAN_PENDING_CAP,
     LatencyHistogram,
     MetricsRecorder,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsDB",
     "MetricsRecorder",
-    "SPAN_PENDING_CAP",
     "metrics_path",
     "parse_text",
     "percentile",

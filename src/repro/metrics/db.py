@@ -201,13 +201,6 @@ class MetricsDB:
 
     # ------------------------------------------------------------------
     # reading (``repro cluster top``, dashboards, tests)
-    def counter_names(self) -> list[str]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT DISTINCT name FROM counters ORDER BY name"
-            ).fetchall()
-        return [name for (name,) in rows]
-
     def counter_total(self, name: str) -> int:
         with self._lock:
             (total,) = self._conn.execute(

@@ -13,14 +13,15 @@ Latencies accumulate into fixed log-spaced millisecond buckets
 intervals or daemon lifetimes merge by plain addition — which is how
 ``repro cluster top`` and the cluster-aggregated stats combine them.
 
-Trace spans ride the same flush cadence: :meth:`record_spans` buffers
-finished spans (bounded, drop-oldest) and :meth:`flush` appends them to
-the ``spans`` table.  A failed flush — disk trouble, a locked database,
-or the ``metrics.put_io`` / ``metrics.db_locked`` fault seams — never
-propagates: the unwritten interval folds back into the pending state
-(within the span cap) and the recorder marks itself *degraded* until a
-later flush succeeds, so a metrics outage costs telemetry, not compile
-requests.
+Trace spans ride the same flush cadence but keep no copy here: a
+recorder with a database drains :mod:`repro.trace.context`'s bounded
+buffer into the ``spans`` table when it flushes.  A failed flush — disk
+trouble, a locked database, or the ``metrics.put_io`` /
+``metrics.db_locked`` fault seams — never propagates: the unwritten
+counters fold back into the pending state, the unwritten spans go back
+into that one buffer (whose drop counter counts any overflow), and the
+recorder marks itself *degraded* until a later flush succeeds, so a
+metrics outage costs telemetry, not compile requests.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ import threading
 import time
 
 from repro.metrics.db import MetricsDB, percentile
-
-#: Bounded size of the recorder's pending-span buffer; overflow drops
-#: the oldest spans first.
-SPAN_PENDING_CAP = 4096
+from repro.trace import context as trace_context
 
 #: Histogram bucket upper bounds, in milliseconds (log-spaced, with an
 #: open-ended overflow bucket).  Shared by every recorder so histograms
@@ -118,9 +116,6 @@ class MetricsRecorder:
         self._histograms: dict[str, LatencyHistogram] = {}
         self._pending_counters: dict[str, int] = {}
         self._pending_histograms: dict[str, LatencyHistogram] = {}
-        self._pending_spans: list[dict] = []
-        self._spans_total = 0
-        self._spans_dropped = 0
         self._last_flush = time.time()
         self._closed = False
         self.degraded = False
@@ -150,38 +145,24 @@ class MetricsRecorder:
                     histogram = table[op] = LatencyHistogram()
                 histogram.observe_ms(ms)
 
-    def record_spans(self, spans) -> None:
-        """Buffer finished trace spans for the next flush (bounded:
-        beyond :data:`SPAN_PENDING_CAP` the oldest are dropped)."""
-        spans = list(spans)
-        if not spans:
-            return
-        with self._lock:
-            self._pending_spans.extend(spans)
-            self._spans_total += len(spans)
-            overflow = len(self._pending_spans) - SPAN_PENDING_CAP
-            if overflow > 0:
-                del self._pending_spans[:overflow]
-                self._spans_dropped += overflow
-
     # ------------------------------------------------------------------
     # persistence
     def flush(self) -> None:
-        """Write the pending interval to the database (no-op without
-        one — the pending state is still cleared, keeping memory flat).
+        """Write the pending interval and every buffered trace span to
+        the database (without one the pending state is still cleared,
+        keeping memory flat, and the span buffer is left alone).
 
         A database failure degrades instead of raising: the unwritten
-        portion folds back into the pending state for a later retry."""
+        portion goes back for a later retry."""
         with self._lock:
             counters = self._pending_counters
             histograms = self._pending_histograms
-            spans = self._pending_spans
             self._pending_counters = {}
             self._pending_histograms = {}
-            self._pending_spans = []
             self._last_flush = time.time()
         if self.db is None:
             return
+        spans = trace_context.drain_spans()
         try:
             if counters or histograms:
                 self.db.record(
@@ -190,12 +171,10 @@ class MetricsRecorder:
                      for op, h in histograms.items()},
                 )
             counters = histograms = None  # written (or empty)
-            if spans:
-                self.db.record_spans(spans)
-            spans = None
+            self.db.record_spans(spans)
         except (sqlite3.Error, OSError):
-            # Fold whatever did not make it to disk back into pending;
-            # compile requests must never fail on a metrics outage.
+            # Hand back whatever did not make it to disk; compile
+            # requests must never fail on a metrics outage.
             with self._lock:
                 self.write_errors += 1
                 self.degraded = True
@@ -211,12 +190,7 @@ class MetricsRecorder:
                             self._pending_histograms[op] = histogram
                         else:
                             pending.merge(histogram)
-                if spans:
-                    self._pending_spans[:0] = spans
-                    overflow = len(self._pending_spans) - SPAN_PENDING_CAP
-                    if overflow > 0:
-                        del self._pending_spans[:overflow]
-                        self._spans_dropped += overflow
+            trace_context.add_spans(spans, front=True)
         else:
             with self._lock:
                 self.degraded = False
@@ -250,9 +224,8 @@ class MetricsRecorder:
                     for op, histogram in sorted(self._histograms.items())
                 },
                 "spans": {
-                    "pending": len(self._pending_spans),
-                    "recorded": self._spans_total,
-                    "dropped": self._spans_dropped,
+                    "pending": trace_context.span_count(),
+                    "dropped": trace_context.dropped_count(),
                 },
             }
 

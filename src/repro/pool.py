@@ -22,6 +22,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.faults import plan as faults
 from repro.sched import store as sched_store
+from repro.trace import context as trace_context
 
 _POOL: ProcessPoolExecutor | None = None
 _POOL_KEY: tuple | None = None
@@ -45,8 +46,11 @@ def reset_resilience() -> None:
 def _init_worker(token: str | None, generation: int) -> None:
     """Pool-worker initializer: inherit the parent's persistent store
     and enter fault-worker context (re-reading ``REPRO_FAULTS`` so each
-    worker gets fresh, deterministic per-process fault counters)."""
+    worker gets fresh, deterministic per-process fault counters).  A
+    forked worker also inherits the parent's buffered spans; they are
+    the parent's to write, so the worker discards its copy."""
     sched_store.worker_initializer(token)
+    trace_context.drain_spans()
     faults.set_worker_context(generation)
     faults.reload_from_env()
 
@@ -72,9 +76,15 @@ def worker_pool(jobs: int) -> ProcessPoolExecutor:
     return _ensure_pool(jobs, sched_store.store_token())
 
 
-def _run_chunk(fn, chunk: list) -> list:
-    """Runs inside one pool worker: apply *fn* to one chunk of items."""
-    return [fn(item) for item in chunk]
+def _run_chunk(fn, chunk: list) -> tuple[list, list[dict], int]:
+    """Runs inside one pool worker: apply *fn* to one chunk of items.
+    The results travel with the spans the worker finished meanwhile and
+    the count its span buffer dropped, so the parent's buffer sees every
+    worker span (or its drop) with the work it describes."""
+    dropped = trace_context.dropped_count()
+    results = [fn(item) for item in chunk]
+    spans = trace_context.drain_spans()
+    return results, spans, trace_context.dropped_count() - dropped
 
 
 def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
@@ -90,6 +100,8 @@ def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
     the lost chunks are retried.  A second crash propagates: one retry,
     then the failure is real.  Ordinary task exceptions are *not*
     retried — determinism bugs must not be masked by resubmission.
+    Each chunk's trace spans and span drops join the parent's buffer
+    (:func:`repro.trace.context.add_spans`) as its results are taken.
 
     Returns an iterator over results in input order; submission happens
     eagerly (before the first ``next()``), so the active store captured
@@ -110,7 +122,7 @@ def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
         retried = False
         for index in range(len(chunks)):
             try:
-                results = futures[index].result()
+                done = futures[index].result()
             except BrokenProcessPool:
                 if retried:
                     raise
@@ -129,7 +141,10 @@ def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
                     )
                     lost += len(chunks[later])
                 RESILIENCE["tasks_retried"] += lost
-                results = futures[index].result()
+                done = futures[index].result()
+            results, spans, dropped = done
+            if spans or dropped:
+                trace_context.add_spans(spans, dropped)
             yield from results
 
     return _drain()
@@ -208,52 +223,6 @@ def worker_stats(timeout: float = 10.0) -> dict:
         "work": work_total,
         "store": store_total,
     }
-
-
-def _drain_spans_probe(delay: float) -> tuple:
-    """Runs inside one pool worker: its pid plus everything in its
-    process-local trace-span buffer (taken, so spans are collected at
-    most once)."""
-    import os
-    import time
-
-    from repro.trace import context as trace_context
-
-    time.sleep(delay)
-    return os.getpid(), trace_context.drain_spans()
-
-
-def drain_worker_spans(timeout: float = 10.0) -> list[dict]:
-    """Collect the buffered trace spans out of every persistent-pool
-    worker (the service does this before flushing its recorder).
-
-    Same bounded-rounds pid coverage as :func:`worker_stats`; with no
-    pool alive (or ``jobs <= 1`` — in-process compilation, where spans
-    land in the parent's own buffer) this returns ``[]``.
-    """
-    if _POOL is None or _POOL_KEY is None or _POOL_KEY[0] <= 1:
-        return []
-    jobs = _POOL_KEY[0]
-    try:
-        expected = set(_POOL._processes or {})
-    except AttributeError:  # pragma: no cover - stdlib internals moved
-        expected = set()
-    collected: list[dict] = []
-    seen: set[int] = set()
-    for _ in range(5):
-        futures = [
-            _POOL.submit(_drain_spans_probe, 0.02) for _ in range(jobs)
-        ]
-        for future in futures:
-            try:
-                pid, spans = future.result(timeout=timeout)
-            except Exception:  # a dying worker must not break the drain
-                continue
-            seen.add(pid)
-            collected.extend(spans)
-        if not expected or expected <= seen:
-            break
-    return collected
 
 
 def pool_stats() -> dict:

@@ -198,9 +198,6 @@ class CompileService:
         self.cell_batches_total = 0
         self.shed_total = 0
         self.timeouts_total = 0
-        # whether any traced request ever reached a batch — gates the
-        # (pool-probing) worker span drain so untraced daemons never pay
-        self._traced_seen = False
         if self.jobs > 1:
             # warm the shared pool under this pipeline's store so the
             # first batch pays no worker spin-up
@@ -238,7 +235,6 @@ class CompileService:
         with self._lock:
             self._draining = True
             self._lock.notify_all()
-        self._flush_spans(collect_workers=True)
         self.metrics.flush()
 
     def wait_idle(self, timeout: float = 30.0) -> bool:
@@ -263,7 +259,6 @@ class CompileService:
             self._lock.notify_all()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=30)
-        self._flush_spans(collect_workers=True)
         self.metrics.close()
 
     def __enter__(self) -> "CompileService":
@@ -470,7 +465,6 @@ class CompileService:
                 )
             if batch:
                 self._run_batch(batch)
-            self._flush_spans(collect_workers=False)
             self.metrics.maybe_flush()
 
     def _run_batch(self, batch: list[tuple]) -> None:
@@ -483,7 +477,6 @@ class CompileService:
                 # (pool workers keep receiving source text)
                 request["loop"] = entry.ddg
             if entry.trace is not None:
-                self._traced_seen = True
                 # queue wait: enqueue to batch dispatch
                 trace_context.record_span(
                     "service.queue", "service",
@@ -541,27 +534,6 @@ class CompileService:
             f"cache_{name}": value
             for name, value in delta.as_dict().items()
         })
-
-    def _flush_spans(self, collect_workers: bool) -> None:
-        """Move finished trace spans into the metrics recorder.
-
-        The local buffer drain is one lock acquisition — cheap enough
-        for every dispatch-loop pass.  *collect_workers* additionally
-        probes the pool workers' buffers (drain/close/stats only, and
-        only when tracing was ever in play — the probe submits pool
-        tasks)."""
-        spans = trace_context.drain_spans()
-        if (
-            collect_workers
-            and self.jobs > 1
-            and (self._traced_seen or trace_context.tracing_enabled())
-        ):
-            try:
-                spans.extend(worker_pool_mod.drain_worker_spans())
-            except Exception:
-                pass  # a broken pool must not break shutdown/stats
-        if spans:
-            self.metrics.record_spans(spans)
 
     # ------------------------------------------------------------------
     # routed experiment-engine cells (``repro sweep --connect``)
@@ -661,7 +633,6 @@ class CompileService:
         cache_total = dict(cache)
         for name, value in workers["cache"].items():
             cache_total[name] = cache_total.get(name, 0) + value
-        self._flush_spans(collect_workers=True)
         self.metrics.maybe_flush()
         return {
             "schema": STATS_SCHEMA,
@@ -689,7 +660,10 @@ class CompileService:
             }
         gauges["uptime_seconds"] = time.time() - self.started_at
         return render_prometheus(
-            self.metrics.counter_snapshot(),
+            {
+                **self.metrics.counter_snapshot(),
+                "trace_spans_dropped": trace_context.dropped_count(),
+            },
             gauges,
             self.metrics.histogram_snapshot(),
         )

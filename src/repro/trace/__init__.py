@@ -9,7 +9,7 @@ Three pieces, strictly out-of-band of result bytes:
   :class:`PhaseProfile` behind every ``compile`` span (index build,
   MII, scheduling, lifetimes, allocation, spill, verify);
 * :mod:`repro.trace.report` — queries/rendering over the ``spans``
-  table of ``repro.metrics/2`` databases and the ``repro.trace/1``
+  table of ``repro.metrics/2`` databases and the ``repro.trace/2``
   JSON export.
 
 Enable with ``REPRO_TRACE=1`` (or :func:`enable`); daemons additionally
@@ -24,6 +24,7 @@ from repro.trace.context import (
     TRACED_OPS,
     TraceContext,
     activate,
+    add_spans,
     client_scope,
     current,
     drain_spans,
@@ -61,6 +62,7 @@ __all__ = [
     "TraceContext",
     "activate",
     "active_profile",
+    "add_spans",
     "client_scope",
     "current",
     "drain_spans",

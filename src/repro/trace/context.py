@@ -11,12 +11,15 @@ request key between the service and its pool workers — and never enter
 a compile result document, so traced output stays byte-identical to
 untraced output.
 
-Finished spans accumulate in one bounded process-local buffer
-(:func:`record_span` / :func:`drain_spans`).  Daemons drain the buffer
-into their :class:`repro.metrics.MetricsRecorder`; pool workers are
-drained by :func:`repro.pool.drain_worker_spans`.  The buffer is
-process-global by design — in-process multi-service tests share it, and
-separate daemon processes each own theirs.
+Finished spans wait in one bounded process-local buffer
+(:func:`record_span` / :func:`drain_spans`) until they are written.
+Pool workers return theirs with each chunk's results and the parent
+adds them, with the worker's drop count (:func:`add_spans`);
+:class:`repro.metrics.MetricsRecorder` drains the buffer when it
+flushes and hands back a batch it failed to write.  Overflow drops the
+oldest spans, and :func:`dropped_count` counts every drop.  The buffer
+is process-global by design — in-process multi-service tests share it,
+and separate daemon processes each own theirs.
 
 Tracing is **on** for a piece of code when either
 
@@ -43,7 +46,7 @@ from dataclasses import dataclass, replace
 ENV_VAR = "REPRO_TRACE"
 
 #: The span layers the stack records, outermost first.
-LAYERS = ("client", "server", "service", "worker", "phase")
+LAYERS = ("client", "server", "service", "worker")
 
 #: Bounded size of the process-local finished-span buffer; overflow
 #: drops the oldest spans (observability must never grow without bound).
@@ -184,7 +187,6 @@ def record_span(
     span is dropped (returns ``None``): an orphan span cannot be
     attributed to any trace.
     """
-    global _dropped
     if context is None:
         parent = current()
         if parent is None:
@@ -202,11 +204,33 @@ def record_span(
     }
     with _buffer_lock:
         _buffer.append(span)
-        overflow = len(_buffer) - SPAN_BUFFER_CAP
-        if overflow > 0:
-            del _buffer[:overflow]
-            _dropped += overflow
+        _trim()
     return span
+
+
+def add_spans(spans, dropped: int = 0, front: bool = False) -> None:
+    """Add spans finished elsewhere — a pool worker's chunk, with the
+    *dropped* count of that worker's buffer — to the buffer.  *front*
+    puts them ahead of every buffered span (a batch a failed write hands
+    back is the oldest, so it goes first on overflow)."""
+    global _dropped
+    with _buffer_lock:
+        if front:
+            _buffer[:0] = spans
+        else:
+            _buffer.extend(spans)
+        _dropped += dropped
+        _trim()
+
+
+def _trim() -> None:
+    """Drop (and count) the oldest spans beyond the cap; the caller
+    holds the buffer lock."""
+    global _dropped
+    overflow = len(_buffer) - SPAN_BUFFER_CAP
+    if overflow > 0:
+        del _buffer[:overflow]
+        _dropped += overflow
 
 
 def drain_spans() -> list[dict]:

@@ -20,9 +20,9 @@ drive           everything else (selection, memo lookups, bookkeeping)
 Accrual is exclusive: while ``allocation`` is pushed inside
 ``lifetimes``, the inner phase earns the time — so the phase totals of
 one profile always sum to the profiled wall time (the ``drive`` root
-catches the remainder).  That is the property the acceptance check
-leans on: per-request phase sums reconcile with the recorded span
-duration.
+catches the remainder).  :func:`profiled_span` stores them as the
+span's ``phases`` attribute, and their sum reconciles with the span's
+recorded duration.
 
 The hooks sit at the existing ``WORK``-counter seams and reduce to one
 thread-local read plus a shared no-op context manager when no profile
@@ -156,36 +156,23 @@ def profiling():
 @contextlib.contextmanager
 def profiled_span(name: str, layer: str = "worker", attrs: dict | None = None):
     """A traced span with a phase breakdown: times the block, profiles
-    its phases, and records the span plus one child ``phase``-layer span
-    per phase.  No-op (yields ``None``) when tracing is off; when
-    nested inside an already-profiled scope the span is still recorded
-    but the phases accrue to the outer profile."""
+    its phases, and records one span whose ``phases`` attribute maps
+    each phase to its exclusive milliseconds.  No-op (yields ``None``)
+    when tracing is off; when nested inside an already-profiled scope
+    the span is still recorded but the phases accrue to the outer
+    profile (and this span carries none)."""
     if not trace_context.enabled():
         yield None
         return
-    parent = trace_context.current()
-    ctx = parent.child() if parent is not None else trace_context.new_trace()
-    ts = time.time()
-    started = time.perf_counter()
-    profile = None
-    try:
-        with trace_context.activate(ctx):
+    span_attrs = dict(attrs) if attrs else {}
+    with trace_context.span(name, layer, attrs=span_attrs) as ctx:
+        profile = None
+        try:
             with profiling() as profile:
                 yield ctx
-    finally:
-        duration_ms = (time.perf_counter() - started) * 1000.0
-        span_attrs = dict(attrs) if attrs else {}
-        if profile is not None:
-            phases = profile.as_millis()
-            span_attrs["phase_ms"] = round(sum(phases.values()), 3)
-            for phase_name in sorted(phases):
-                trace_context.record_span(
-                    phase_name,
-                    "phase",
-                    phases[phase_name],
-                    context=ctx.child(),
-                    ts=ts,
-                )
-        trace_context.record_span(
-            name, layer, duration_ms, context=ctx, attrs=span_attrs, ts=ts
-        )
+        finally:
+            if profile is not None:
+                span_attrs["phases"] = {
+                    phase_name: round(ms, 3)
+                    for phase_name, ms in sorted(profile.as_millis().items())
+                }

@@ -4,10 +4,10 @@ Spans persist in the ``spans`` table of one or more ``repro.metrics/2``
 databases (one per shard, plus the client's own ``--trace`` database in
 a routed sweep).  This module merges them back into whole traces: the
 distributed tree of one logical request — client send, server receive,
-service queue/batch, worker compile, per-phase breakdown — keyed by the
-shared ``trace_id``.
+service queue/batch, worker compile with its ``phases`` breakdown —
+keyed by the shared ``trace_id``.
 
-The JSON export (schema ``repro.trace/1``) is deterministic for a given
+The JSON export (schema ``repro.trace/2``) is deterministic for a given
 span set: spans are ordered by ``(trace start, trace_id, ts, span_id)``
 so the document is stable however many databases contributed.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-TRACE_SCHEMA = "repro.trace/1"
+TRACE_SCHEMA = "repro.trace/2"
 
 
 def load_spans(paths) -> list[dict]:
@@ -65,19 +65,22 @@ def trace_summaries(spans) -> list[dict]:
     return summaries
 
 
+def _phases(span) -> dict | None:
+    return (span.get("attrs") or {}).get("phases")
+
+
 def phase_breakdown(spans) -> dict[str, dict]:
-    """Aggregate ``phase``-layer spans by phase name:
+    """Aggregate every span's ``phases`` attribute by phase name:
     ``{name: {count, total_ms, mean_ms, max_ms}}``."""
     totals: dict[str, dict] = {}
     for span in spans:
-        if span["layer"] != "phase":
-            continue
-        entry = totals.setdefault(
-            span["name"], {"count": 0, "total_ms": 0.0, "max_ms": 0.0}
-        )
-        entry["count"] += 1
-        entry["total_ms"] += span["dur_ms"]
-        entry["max_ms"] = max(entry["max_ms"], span["dur_ms"])
+        for name, ms in (_phases(span) or {}).items():
+            entry = totals.setdefault(
+                name, {"count": 0, "total_ms": 0.0, "max_ms": 0.0}
+            )
+            entry["count"] += 1
+            entry["total_ms"] += ms
+            entry["max_ms"] = max(entry["max_ms"], ms)
     for entry in totals.values():
         entry["total_ms"] = round(entry["total_ms"], 3)
         entry["mean_ms"] = round(entry["total_ms"] / entry["count"], 3)
@@ -93,20 +96,19 @@ def layer_counts(spans) -> dict[str, int]:
 
 
 def phase_consistency(spans, min_ms: float = 0.0) -> list[dict]:
-    """For every profiled span (one carrying a ``phase_ms`` attribute):
-    how its recorded child-phase sum reconciles with its own duration.
+    """For every profiled span (one carrying a ``phases`` attribute):
+    how its phase sum (``phase_ms``) reconciles with its own duration.
     The acceptance bar is ``ratio`` within 10% of 1.0 — for spans above
     *min_ms*; under ~1ms (a memo-served cell) the fixed bookkeeping
     cost of recording the spans themselves dominates the measurement,
     so reconciliation is only meaningful above that noise floor."""
     rows = []
     for span in sort_spans(spans):
-        phase_ms = (span.get("attrs") or {}).get("phase_ms")
-        if phase_ms is None:
-            continue
+        phases = _phases(span)
         duration = span["dur_ms"]
-        if duration < min_ms:
+        if phases is None or duration < min_ms:
             continue
+        phase_ms = round(sum(phases.values()), 3)
         rows.append({
             "trace_id": span["trace_id"],
             "span_id": span["span_id"],
@@ -130,6 +132,7 @@ def _render_span_line(span: dict, depth: int) -> str:
     attrs = span.get("attrs") or {}
     extras = " ".join(
         f"{key}={value}" for key, value in sorted(attrs.items())
+        if key != "phases"
     )
     indent = "  " * depth
     line = (
@@ -138,6 +141,8 @@ def _render_span_line(span: dict, depth: int) -> str:
     )
     if extras:
         line += f"  ({extras})"
+    for name, ms in sorted((_phases(span) or {}).items()):
+        line += f"\n{indent}  {name} [phase] {ms:.3f}ms"
     return line
 
 
@@ -214,7 +219,7 @@ def render_top(spans) -> str:
             f" {entry['mean_ms']:>10.3f} {entry['max_ms']:>10.3f}"
         )
     if not breakdown:
-        lines = ["no phase spans recorded"]
+        lines = ["no phases recorded"]
     counts = layer_counts(spans)
     lines.append(
         "layers: "
@@ -244,7 +249,7 @@ def render_slow(spans, limit: int = 10, layer: str | None = None) -> str:
 # ----------------------------------------------------------------------
 # the JSON export
 def export_document(spans) -> dict:
-    """The ``repro.trace/1`` document: every trace with its ordered
+    """The ``repro.trace/2`` document: every trace with its ordered
     spans — deterministic for a given span set."""
     traces = []
     for summary in trace_summaries(spans):

@@ -41,7 +41,6 @@ from repro.faults import plan as faults
 from repro.metrics import (
     MetricsDB,
     MetricsRecorder,
-    SPAN_PENDING_CAP,
     parse_text,
     render_prometheus,
 )
@@ -52,6 +51,14 @@ from repro.trace import report as trace_report
 from repro.trace.context import SPAN_BUFFER_CAP
 
 FIG2 = "x[i] = y[i]*a + y[i-3]"
+
+
+def _record_spans(count):
+    """Runs inside a pool worker: record *count* spans of one trace."""
+    context = trace.new_trace()
+    for index in range(count):
+        trace.record_span(f"s{index}", "worker", 0.0, context=context.child())
+    return count
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +116,18 @@ class TestTraceContext:
         spans = trace.drain_spans()
         assert len(spans) == SPAN_BUFFER_CAP
         assert spans[0]["name"] == "s5"  # the oldest five went
+
+    def test_added_spans_share_the_cap_and_the_counter(self):
+        context = trace.new_trace()
+        for index in range(SPAN_BUFFER_CAP):
+            trace.record_span(f"s{index}", "client", 0.0, context=context.child())
+        trace.add_spans([{"name": "old"}], dropped=2, front=True)
+        assert trace.dropped_count() == 3  # the worker's 2, then "old"
+        trace.add_spans([{"name": "new"}])
+        assert trace.dropped_count() == 4
+        spans = trace.drain_spans()
+        assert len(spans) == SPAN_BUFFER_CAP
+        assert spans[0]["name"] == "s1" and spans[-1]["name"] == "new"
 
     def test_enabled_by_env_or_context(self, monkeypatch):
         assert not trace.enabled()
@@ -179,16 +198,16 @@ class TestPhaseProfile:
         with trace.profiled_span("compile", "worker"):
             with trace.phase("schedule"):
                 time.sleep(0.01)
-        spans = trace.drain_spans()
-        main = [s for s in spans if s["name"] == "compile"]
-        assert len(main) == 1
-        phase_sum = sum(
-            s["dur_ms"] for s in spans if s["layer"] == "phase"
-        )
-        ratio = main[0]["attrs"]["phase_ms"] / main[0]["dur_ms"]
+        (main,) = trace.drain_spans()  # one span; phases ride on it
+        assert main["name"] == "compile"
+        phases = main["attrs"]["phases"]
+        assert set(phases) >= {"schedule", "drive"}
+        assert phases["schedule"] >= 8.0
+        ratio = sum(phases.values()) / main["dur_ms"]
         assert 0.9 <= ratio <= 1.1
-        assert phase_sum == pytest.approx(
-            main[0]["attrs"]["phase_ms"], rel=0.02
+        (row,) = trace_report.phase_consistency([main])
+        assert row["phase_ms"] == pytest.approx(
+            sum(phases.values()), abs=0.001
         )
 
 
@@ -255,13 +274,16 @@ class TestServiceSpans:
             spans = db.spans()
             layers = db.span_layers()
         assert {s["trace_id"] for s in spans} == {context.trace_id}
-        assert set(layers) >= {"server", "service", "worker", "phase"}
+        assert set(layers) == {"server", "service", "worker"}
         names = {s["name"] for s in spans}
         assert {"server.compile", "service.queue", "service.batch",
                 "compile"} <= names
         # the server span carries the op, the batch span the batch size
         batch = next(s for s in spans if s["name"] == "service.batch")
         assert batch["attrs"]["batch"] == 1
+        # the worker compile span carries its phase breakdown
+        compiled = next(s for s in spans if s["name"] == "compile")
+        assert "drive" in compiled["attrs"]["phases"]
 
     def test_coalesced_request_records_join_span(self, tmp_path):
         db_path = str(tmp_path / "metrics.sqlite")
@@ -365,6 +387,28 @@ class TestHTTPTransport:
             for key in samples
         )
 
+    def test_worker_span_drops_are_exported(self, http_daemon):
+        # a pool worker whose buffer overflows returns its drop count
+        # with its results; /metrics and /stats report that one counter
+        from repro import pool
+
+        service, base, _ = http_daemon
+        pool.shutdown_pool()  # fresh workers that can import this module
+        try:
+            assert list(pool.imap_resilient(
+                _record_spans, [SPAN_BUFFER_CAP + 7], jobs=2
+            )) == [SPAN_BUFFER_CAP + 7]
+        finally:
+            pool.shutdown_pool()
+        assert trace.dropped_count() == 7
+        assert trace.span_count() == SPAN_BUFFER_CAP
+        with urllib.request.urlopen(f"{base}/metrics", timeout=10) as r:
+            samples = parse_text(r.read().decode("utf-8"))
+        assert samples["repro_trace_spans_dropped_total"] == 7.0
+        with urllib.request.urlopen(f"{base}/stats", timeout=10) as r:
+            stats = json.loads(r.read().decode("utf-8"))
+        assert stats["metrics"]["spans"]["dropped"] == 7
+
     def test_trace_header_propagates(self, http_daemon):
         service, base, db_path = http_daemon
         context = trace.new_trace()
@@ -438,7 +482,7 @@ class TestMetricsDBv2:
             "ts": 123.0, "trace_id": context.trace_id,
             "span_id": "abc", "parent_id": None,
             "name": "compile", "layer": "worker", "dur_ms": 1.5,
-            "attrs": {"loop": "x", "phase_ms": 1.4},
+            "attrs": {"loop": "x", "phases": {"schedule": 1.4}},
         }
         with MetricsDB(path) as db:
             db.record_spans([span])
@@ -523,7 +567,7 @@ class TestRecorderDegradation:
         recorder = MetricsRecorder(str(tmp_path / "m.sqlite"))
         recorder.count("requests", 2)
         recorder.observe("compile", 0.001)
-        recorder.record_spans([self._span()])
+        trace.add_spans([self._span()])
         faults.install("metrics.put_io")
         recorder.flush()  # swallowed: degrade, don't raise
         assert recorder.degraded
@@ -563,15 +607,6 @@ class TestRecorderDegradation:
         with MetricsDB(db_path) as db:
             assert db.counter_totals().get("requests") == 1
 
-    def test_pending_span_buffer_is_bounded(self, tmp_path):
-        recorder = MetricsRecorder(str(tmp_path / "m.sqlite"))
-        recorder.record_spans(
-            [self._span(index) for index in range(SPAN_PENDING_CAP + 3)]
-        )
-        summary = recorder.summary()
-        assert summary["spans"]["pending"] == SPAN_PENDING_CAP
-        assert summary["spans"]["dropped"] == 3
-        recorder.close()
 
 
 # ======================================================================
@@ -663,11 +698,7 @@ class TestTraceReport:
             {"ts": 1.1, "trace_id": child.trace_id,
              "span_id": child.span_id, "parent_id": child.parent_id,
              "name": "compile", "layer": "worker", "dur_ms": 8.0,
-             "attrs": {"phase_ms": 7.8}},
-            {"ts": 1.2, "trace_id": child.trace_id,
-             "span_id": child.child().span_id,
-             "parent_id": child.span_id, "name": "schedule",
-             "layer": "phase", "dur_ms": 7.8, "attrs": {}},
+             "attrs": {"phases": {"drive": 0.3, "schedule": 7.5}}},
         ]
 
     def test_render_show_tree_and_prefix(self):
@@ -675,6 +706,9 @@ class TestTraceReport:
         text = trace_report.render_show(spans)
         assert "client.compile" in text
         assert "  compile" in text  # nested under the client span
+        # each phase is a line nested under its span
+        assert "\n      schedule [phase] 7.500ms" in text
+        assert "phases=" not in text
         prefix = spans[0]["trace_id"][:6]
         assert "client.compile" in trace_report.render_show(
             spans, trace_id=prefix
@@ -686,12 +720,20 @@ class TestTraceReport:
     def test_phase_consistency_within_10_percent(self):
         rows = trace_report.phase_consistency(self._spans())
         assert len(rows) == 1
+        assert rows[0]["phase_ms"] == 7.8
         assert abs(rows[0]["ratio"] - 1.0) <= 0.1
+
+    def test_phase_breakdown_aggregates_the_attribute(self):
+        breakdown = trace_report.phase_breakdown(self._spans())
+        assert breakdown["schedule"] == {
+            "count": 1, "total_ms": 7.5, "mean_ms": 7.5, "max_ms": 7.5,
+        }
+        assert set(breakdown) == {"drive", "schedule"}
 
     def test_export_schema_and_determinism(self):
         spans = self._spans()
         document = trace_report.export_document(spans)
-        assert document["schema"] == "repro.trace/1"
+        assert document["schema"] == "repro.trace/2"
         assert len(document["traces"]) == 1
         assert trace_report.export_text(
             list(reversed(spans))
@@ -727,7 +769,7 @@ class TestTraceCLI:
         # root phase always accounts for the compile's wall time
         assert "drive" in top and "layers:" in top
         assert main(["trace", "slow", "--metrics", db_path,
-                     "--layer", "phase", "--limit", "3"]) == 0
+                     "--layer", "worker", "--limit", "3"]) == 0
         assert main(["trace", "show", "--metrics", db_path,
                      "--json"]) == 0
         capsys.readouterr()  # drop the slow output
@@ -735,8 +777,9 @@ class TestTraceCLI:
         assert main(["trace", "top", "--metrics", db_path,
                      "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro.trace/1"
-        assert set(document["layers"]) >= {"service", "worker", "phase"}
+        assert document["schema"] == "repro.trace/2"
+        assert set(document["layers"]) == {"server", "service", "worker"}
+        assert "drive" in document["phases"]
 
     def test_missing_database_is_an_error(self, tmp_path):
         from repro.cli import main
@@ -781,7 +824,41 @@ class TestTraceCLI:
         assert traced.read_bytes() == untraced.read_bytes()
         with MetricsDB(str(trace_db)) as db:
             layers = db.span_layers()
-        assert set(layers) >= {"worker", "phase"}
+        assert set(layers) == {"worker"}
+
+    def test_sweep_trace_is_lossless_and_jobs_invariant(self, tmp_path,
+                                                        capsys):
+        # one span per cell and per compile, each cell carrying its
+        # phases, none dropped; pool workers return theirs with their
+        # results, so --jobs 2 records the same spans as --jobs 1
+        from collections import Counter
+
+        from repro.cli import main
+
+        counts = []
+        for jobs in (1, 2):
+            trace.reset()
+            trace_db = tmp_path / f"trace{jobs}.sqlite"
+            sweep_json = tmp_path / f"sweep{jobs}.json"
+            assert main([
+                "sweep", "--size", "10", "--machines", "P2L4",
+                "--budgets", "32", "--artifacts", "table1", "fig8",
+                "--jobs", str(jobs), "--trace", str(trace_db),
+                "--json-out", str(sweep_json),
+            ]) == 0
+            assert trace.dropped_count() == 0
+            cells = len(json.loads(sweep_json.read_text())["cells"])
+            with MetricsDB(str(trace_db)) as db:
+                spans = db.spans()
+            count = Counter((s["layer"], s["name"]) for s in spans)
+            assert count[("worker", "cell")] == cells
+            assert len(spans) == cells + count[("worker", "compile")]
+            assert all(
+                "phases" in s["attrs"] for s in spans if s["name"] == "cell"
+            )
+            counts.append(count)
+        capsys.readouterr()
+        assert counts[0] == counts[1]
 
     def test_sweep_trace_reports_dropped_spans(self, tmp_path, capsys,
                                                monkeypatch):
@@ -789,7 +866,7 @@ class TestTraceCLI:
         from repro.trace import context as trace_context
 
         monkeypatch.setenv(trace.ENV_VAR, "0")  # restored after the test
-        monkeypatch.setattr(trace_context, "SPAN_BUFFER_CAP", 5)
+        monkeypatch.setattr(trace_context, "SPAN_BUFFER_CAP", 2)
         trace_db = tmp_path / "trace.sqlite"
         assert main(["sweep", "--size", "2", "--budgets", "32",
                      "--artifacts", "table1", "--machines", "P2L4",
@@ -797,8 +874,8 @@ class TestTraceCLI:
         dropped = trace.dropped_count()
         assert dropped > 0
         captured = capsys.readouterr()
-        assert (f"the 5-span buffer dropped {dropped} span(s)"
+        assert (f"the 2-span buffer dropped {dropped} span(s)"
                 in captured.err)
         assert "dropped" not in captured.out
         with MetricsDB(str(trace_db)) as db:
-            assert len(db.spans()) == 5
+            assert len(db.spans()) == 2
