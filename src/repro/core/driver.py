@@ -38,6 +38,7 @@ from repro.sched.cache import (
 )
 from repro.sched.hrms import HRMSScheduler
 from repro.sched.schedule import Schedule
+from repro.trace.profile import phase
 
 
 def schedule_with_spilling(
@@ -174,16 +175,20 @@ def _run_spilling(
                 report, work,
             )
         # Spill into a fresh copy: the graph just scheduled may now be a
-        # schedule-memo entry, and memo entries must never mutate.
-        work = work.copy()
-        for candidate in candidates:
-            apply_spill(
-                work,
-                candidate.lifetime,
-                fuse=fuse,
-                mark_non_spillable=mark_non_spillable,
-            )
-            spilled.append(candidate.lifetime.value)
+        # schedule-memo entry, and memo entries must never mutate.  The
+        # copy records its delta from *parent*, which stays alive for
+        # the round, so the child's MII and plan derive from the
+        # parent's.
+        with phase("spill"):
+            parent, work = work, work.copy()
+            for candidate in candidates:
+                apply_spill(
+                    work,
+                    candidate.lifetime,
+                    fuse=fuse,
+                    mark_non_spillable=mark_non_spillable,
+                )
+                spilled.append(candidate.lifetime.value)
         if last_ii:
             # Section 4.5: restart at max(MII, previous II).  The MII is
             # that of the *mutated* graph — the spill code's memory edges

@@ -44,8 +44,10 @@ from repro.lifetimes.lifetime import (
     variant_lifetimes,
 )
 from repro.core.spill import _load_is_rematerializable
+from repro.lifetimes.index import lifetime_index
 from repro.lifetimes.requirements import RegisterReport
 from repro.sched.schedule import Schedule
+from repro.trace.profile import phase
 
 
 class SelectionPolicy(enum.Enum):
@@ -128,42 +130,66 @@ def _spill_is_effective(ddg: DDG, lifetime: Lifetime) -> bool:
     )
 
 
-def _replacement_length(schedule: Schedule, lifetime: Lifetime) -> int:
-    """Length of the fused lifetimes that replace a spilled one.
-
-    Spilling swaps the original lifetime for a register window of exactly
-    the spill load's latency before each use (plus the producer-to-store
-    window for ordinary variants); if the original lifetime is not longer
-    than that, the spill frees no registers and must not be selected —
-    otherwise zero-cost candidates (rematerializable single-use loads)
-    would be picked forever without progress.
-    """
-    machine = schedule.machine
-    load_latency = machine.latency(Opcode.SPILL_LOAD)
-    if lifetime.is_invariant:
-        return load_latency
-    producer = schedule.ddg.nodes[lifetime.value]
-    if producer.opcode is Opcode.LOAD and _load_is_rematerializable(
-        schedule.ddg, lifetime.value
-    ):
-        return load_latency
-    return max(load_latency, machine.latency(producer.opcode))
-
-
 def spill_candidates(schedule: Schedule) -> list[SpillCandidate]:
     """All lifetimes of *schedule* that may legally and usefully be
-    spilled."""
+    spilled.
+
+    Whether a spill is effective, what it costs and which latency
+    bounds its replacement depend on graph content only, so they are
+    worked out once per value and kept on the graph's
+    :class:`~repro.lifetimes.index.LifetimeIndex`."""
     ddg = schedule.ddg
+    machine = schedule.machine
+    load_latency = machine.latency(Opcode.SPILL_LOAD)
+    facts = lifetime_index(ddg).spill_facts
     result = []
     for lifetime in variant_lifetimes(schedule) + invariant_lifetimes(schedule):
         if not lifetime.spillable or lifetime.length <= 0 or not lifetime.consumers:
             continue
-        if not _spill_is_effective(ddg, lifetime):
+        key = (lifetime.is_invariant, lifetime.value)
+        fact = facts.get(key)
+        if fact is None:
+            fact = facts[key] = _spill_facts(ddg, lifetime)
+        effective, cost, opcode = fact
+        if not effective:
             continue
-        if lifetime.length <= _replacement_length(schedule, lifetime):
+        replacement = load_latency
+        if opcode is not None:
+            replacement = max(load_latency, machine.latency(opcode))
+        if lifetime.length <= replacement:
             continue
-        result.append(SpillCandidate(lifetime, spill_cost(ddg, lifetime)))
+        result.append(SpillCandidate(lifetime, cost))
     return result
+
+
+def _spill_facts(
+    ddg: DDG, lifetime: Lifetime
+) -> tuple[bool, int, Opcode | None]:
+    """``(effective, cost, opcode)`` of spilling *lifetime*: whether it
+    shortens a lifetime (:func:`_spill_is_effective`), its
+    :func:`spill_cost`, and the producer opcode whose latency bounds
+    the replacement lifetimes with the spill load's (``None``: the
+    load's alone).
+
+    Spilling swaps the original lifetime for a register window of
+    exactly the spill load's latency before each use (plus the
+    producer-to-store window for ordinary variants); if the original
+    lifetime is not longer than that, the spill frees no registers and
+    must not be selected — otherwise zero-cost candidates
+    (rematerializable single-use loads) would be picked forever without
+    progress.
+    """
+    opcode = None
+    if not lifetime.is_invariant:
+        producer = ddg.nodes[lifetime.value]
+        if not (
+            producer.opcode is Opcode.LOAD
+            and _load_is_rematerializable(ddg, lifetime.value)
+        ):
+            opcode = producer.opcode
+    return (
+        _spill_is_effective(ddg, lifetime), spill_cost(ddg, lifetime), opcode,
+    )
 
 
 def select_lifetimes(
@@ -179,6 +205,17 @@ def select_lifetimes(
     candidates that the optimistic MaxLive estimate drops to *available*.
     An empty list means nothing is spillable (the driver reports failure).
     """
+    with phase("select"):
+        return _select(schedule, report, available, policy, multiple)
+
+
+def _select(
+    schedule: Schedule,
+    report: RegisterReport,
+    available: int,
+    policy: SelectionPolicy,
+    multiple: bool,
+) -> list[SpillCandidate]:
     candidates = spill_candidates(schedule)
     if not candidates:
         return []

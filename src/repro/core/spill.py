@@ -40,7 +40,7 @@ and need no output dependences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.graph.ddg import DDG, DepKind, Edge, EdgeKind, Node
 from repro.ir.loop import ArrayRef
@@ -107,7 +107,7 @@ def _spill_variant(
         store_name = f"Ss_{name}"
         home = SpillHome(name)
         ddg.add_node(
-            Node(store_name, Opcode.SPILL_STORE, operands=[name], mem=home)
+            Node(store_name, Opcode.SPILL_STORE, operands=(name,), mem=home)
         )
         added.append(store_name)
 
@@ -142,7 +142,7 @@ def _spill_variant(
         load_name, fused_load = plan[(edge.dst, edge.distance)]
         if load_name not in ddg.nodes:
             ddg.add_node(
-                Node(load_name, Opcode.SPILL_LOAD, operands=[], mem=home)
+                Node(load_name, Opcode.SPILL_LOAD, mem=home)
             )
             added.append(load_name)
             ddg.add_edge(
@@ -202,7 +202,7 @@ def _spill_loaded_value(
                     original_ref.array, original_ref.offset - edge.distance
                 )
             ddg.add_node(
-                Node(load_name, Opcode.SPILL_LOAD, operands=[], mem=ref)
+                Node(load_name, Opcode.SPILL_LOAD, mem=ref)
             )
             added.append(load_name)
         ddg.remove_edge(edge)
@@ -231,7 +231,7 @@ def _spill_invariant(
     added: list[str] = []
     for index, consumer in enumerate(sorted(invariant.consumers)):
         load_name = f"Ls{index + 1}_{invariant.name}"
-        ddg.add_node(Node(load_name, Opcode.SPILL_LOAD, operands=[], mem=home))
+        ddg.add_node(Node(load_name, Opcode.SPILL_LOAD, mem=home))
         added.append(load_name)
         ddg.add_edge(
             Edge(
@@ -313,8 +313,6 @@ def _rename_operand(
 ) -> None:
     node = ddg.nodes[consumer]
     target = f"{old}@{distance}" if distance else old
-    node.operands = [new if operand == target else operand
-                     for operand in node.operands]
-    # operands are fingerprinted content: keep the revision honest even
-    # though every caller also rewires edges in the same transformation
-    ddg.revision += 1
+    ddg.replace_node(replace(node, operands=tuple(
+        new if operand == target else operand for operand in node.operands
+    )))

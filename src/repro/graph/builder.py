@@ -18,6 +18,7 @@ Responsibilities (matching what the paper's ICTINEO front-end provides):
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 from repro.graph.ddg import DDG, DepKind, Edge, EdgeKind, Node
 from repro.ir.loop import ArrayRef, LoopBody
@@ -46,8 +47,9 @@ def build_ddg(body: LoopBody, reuse_loads: bool = True) -> DDG:
     """
     ddg = DDG(body.name)
     for op in body.operations:
-        ddg.add_node(Node(op.name, op.opcode, list(op.operands), op.mem))
-    ddg.live_out = set(body.live_out)
+        ddg.add_node(Node(op.name, op.opcode, tuple(op.operands), op.mem))
+    for name in sorted(body.live_out):
+        ddg.add_live_out(name)
 
     _add_register_edges(ddg, body)
     if reuse_loads:
@@ -139,8 +141,9 @@ def _fold_reused_loads(ddg: DDG) -> None:
 def _rename_operand(ddg: DDG, edge_dsts: set[str], old: str, new: str) -> None:
     for name in edge_dsts:
         node = ddg.nodes[name]
-        node.operands = [new if _split_carried(o)[0] == old else o
-                         for o in node.operands]
+        ddg.replace_node(replace(node, operands=tuple(
+            new if _split_carried(o)[0] == old else o for o in node.operands
+        )))
 
 
 # ----------------------------------------------------------------------

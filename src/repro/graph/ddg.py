@@ -15,12 +15,24 @@ need them:
 * ``fused`` on register edges — the endpoints form a "complex operation"
   and must be scheduled exactly ``latency(src)`` cycles apart
   (Section 4.3, convergence guarantee).
+
+Nodes, edges and invariants are immutable, so copies share them, and
+every change goes through a :class:`DDG` method.  Each method keeps the
+graph's derived facts current: a running content digest (the sum, mod
+2**256, of one SHA-256 value per node, edge, invariant, invariant use
+and live-out name — incremental hashing after Bellare and Micciancio,
+EUROCRYPT 1997), per-opcode node counts and the fused groups.  A copy
+also records its :class:`Delta` from the graph it was copied from, which
+is what lets a spill round derive its child graph's facts from its
+parent's instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import hashlib
+import weakref
+from dataclasses import dataclass, replace
 
 from repro.ir.operations import (
     Opcode,
@@ -72,18 +84,23 @@ class Edge:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
-    """An operation vertex.
+    """An operation vertex (immutable: :meth:`DDG.replace_node` swaps
+    one in).
 
-    ``operands`` keeps the symbolic operand list for code emission;
+    ``operands`` keeps the symbolic operand tuple for code emission;
     dependence information lives exclusively in the edges.
     """
 
     name: str
     opcode: Opcode
-    operands: list[str] = field(default_factory=list)
+    operands: tuple[str, ...] = ()
     mem: object | None = None
+
+    def __post_init__(self) -> None:
+        if type(self.operands) is not tuple:
+            object.__setattr__(self, "operands", tuple(self.operands))
 
     @property
     def produces_value(self) -> bool:
@@ -106,9 +123,10 @@ class Node:
         return self.opcode in (Opcode.SPILL_LOAD, Opcode.SPILL_STORE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Invariant:
-    """A loop-invariant value.
+    """A loop-invariant value (immutable: :meth:`DDG.add_invariant`
+    swaps one in).
 
     Invariants are defined before the loop and only read inside it; they
     occupy one register each for the whole execution regardless of the
@@ -117,78 +135,263 @@ class Invariant:
     """
 
     name: str
-    consumers: set[str] = field(default_factory=set)
+    consumers: frozenset[str] = frozenset()
     spillable: bool = True
 
 
-class DDG:
-    """Mutable dependence graph with adjacency indexes.
+# ----------------------------------------------------------------------
+# the running content digest
+_MODULUS = 1 << 256
+_sha256 = hashlib.sha256
+_from_bytes = int.from_bytes
 
-    The spiller transforms graphs destructively, so :meth:`copy` produces
-    an independent clone (edges are immutable and shared).
+
+def _record(text: str) -> int:
+    return _from_bytes(_sha256(text.encode()).digest(), "big")
+
+
+# Records read enum members' ``_name_``/``_value_`` slots directly: the
+# ``name``/``value`` properties cost more than the hash on this path.
+def _node_record(node: Node) -> int:
+    return _record(
+        f"N{node.name}|{node.opcode._name_}|{','.join(node.operands)}"
+        f"|{node.mem!r}"
+    )
+
+
+def _edge_record(edge: Edge) -> int:
+    return _record(
+        f"E{edge.src}>{edge.dst}|{edge.kind._value_}|{edge.dep._value_}"
+        f"|{edge.distance}|{'1' if edge.spillable else '0'}"
+        f"{'1' if edge.fused else '0'}"
+    )
+
+
+def _invariant_record(invariant: Invariant) -> int:
+    return _record(f"I{invariant.name}|{'1' if invariant.spillable else '0'}")
+
+
+def _use_record(invariant: str, consumer: str) -> int:
+    return _record(f"U{invariant}>{consumer}")
+
+
+def _live_out_record(name: str) -> int:
+    return _record(f"L{name}")
+
+
+class Delta:
+    """What a graph changed since :meth:`DDG.copy` made it from its
+    parent.
+
+    ``touched`` names every node whose edges, opcode or existence
+    changed.  ``cut`` holds the ``(src, dst)`` of removed edges,
+    ``joins`` those of added edges between two of the parent's nodes,
+    ``added`` the nodes the parent did not have.  ``opaque`` is set by
+    a change the RecMII argument of :func:`repro.sched.mii.rec_mii`
+    does not cover (a node that changed opcode).  The parent is held
+    weakly: a delta never keeps a graph alive.
     """
+
+    __slots__ = (
+        "parent", "revision", "touched", "cut", "joins", "added", "opaque",
+    )
+
+    def __init__(self, parent: "DDG") -> None:
+        self.parent = weakref.ref(parent)
+        self.revision = parent.revision
+        self.touched: set[str] = set()
+        self.cut: set[tuple[str, str]] = set()
+        self.joins: list[tuple[str, str]] = []
+        self.added: set[str] = set()
+        self.opaque = False
+
+    def base(self) -> "DDG | None":
+        """The parent, if it is alive and unchanged since the copy."""
+        parent = self.parent()
+        if parent is None or parent.revision != self.revision:
+            return None
+        return parent
+
+
+class DDG:
+    """Dependence graph with adjacency indexes.
+
+    Nodes, edges and invariants are immutable and :meth:`copy` shares
+    them; the spiller transforms a copy through the mutation methods,
+    which keep the digest, the opcode counts and the fused groups
+    current.
+    """
+
+    #: This graph's :class:`Delta` from the graph it was copied from
+    #: (``None`` unless it is a copy; never pickled).
+    delta: Delta | None = None
 
     def __init__(self, name: str = "loop") -> None:
         self.name = name
         self.nodes: dict[str, Node] = {}
         self.invariants: dict[str, Invariant] = {}
-        self.live_out: set[str] = set()
+        self.live_out: frozenset[str] = frozenset()
         self._out: dict[str, list[Edge]] = {}
         self._in: dict[str, list[Edge]] = {}
         #: Mutation counter.  Every structural change bumps it, so derived
-        #: results (MII, content fingerprint, the compiled
-        #: :class:`repro.graph.index.DDGIndex`) can be cached per revision
-        #: and recomputed only after the graph actually changed.
+        #: results (MII, the compiled :class:`repro.graph.index.DDGIndex`)
+        #: can be cached per revision and recomputed only after the graph
+        #: actually changed.
         self.revision = 0
+        #: Running content digest (see the module docstring).
+        self._digest = 0
+        #: Node count per opcode (no zero entries).
+        self._opcodes: dict[Opcode, int] = {}
+        #: Member → its fused group, for nodes in a group of two or
+        #: more; ``None`` until :meth:`fused_groups` rebuilds it after a
+        #: fused edge was removed.
+        self._fused: dict[str, frozenset[str]] | None = {}
 
     # ------------------------------------------------------------------
     # construction
+    def _mix(self, record: int) -> None:
+        self._digest = (self._digest + record) % _MODULUS
+
+    def _unmix(self, record: int) -> None:
+        self._digest = (self._digest - record) % _MODULUS
+
+    def _touch(self, *names: str) -> None:
+        if self.delta is not None:
+            self.delta.touched.update(names)
+
     def add_node(self, node: Node) -> Node:
-        if node.name in self.nodes:
-            raise ValueError(f"duplicate node {node.name!r}")
-        self.nodes[node.name] = node
-        self._out[node.name] = []
-        self._in[node.name] = []
+        name = node.name
+        if name in self.nodes:
+            raise ValueError(f"duplicate node {name!r}")
+        self.nodes[name] = node
+        self._out[name] = []
+        self._in[name] = []
+        self._count(node.opcode, 1)
+        self._mix(_node_record(node))
+        if self.delta is not None:
+            self.delta.touched.add(name)
+            self.delta.added.add(name)
         self.revision += 1
         return node
+
+    def replace_node(self, node: Node) -> Node:
+        """Swap in *node* for the node of the same name (new operands,
+        say); edges stay."""
+        old = self.nodes[node.name]
+        self.nodes[node.name] = node
+        self._unmix(_node_record(old))
+        self._mix(_node_record(node))
+        if old.opcode is not node.opcode:
+            self._count(old.opcode, -1)
+            self._count(node.opcode, 1)
+            if self.delta is not None:
+                # the latency of every edge out of it may have changed
+                self.delta.opaque = True
+                self._touch(
+                    node.name, *self.predecessors(node.name),
+                    *self.successors(node.name),
+                )
+        self.revision += 1
+        return node
+
+    def _count(self, opcode: Opcode, step: int) -> None:
+        count = self._opcodes.get(opcode, 0) + step
+        if count:
+            self._opcodes[opcode] = count
+        else:
+            del self._opcodes[opcode]
 
     def add_edge(self, edge: Edge) -> Edge:
         if edge.src not in self.nodes or edge.dst not in self.nodes:
             raise KeyError(f"edge endpoints missing: {edge}")
         self._out[edge.src].append(edge)
         self._in[edge.dst].append(edge)
+        self._mix(_edge_record(edge))
+        delta = self.delta
+        if delta is not None:
+            delta.touched.add(edge.src)
+            delta.touched.add(edge.dst)
+            if edge.src not in delta.added and edge.dst not in delta.added:
+                delta.joins.append((edge.src, edge.dst))
+        if edge.fused and self._fused is not None:
+            self._join(edge.src, edge.dst)
         self.revision += 1
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
         self._out[edge.src].remove(edge)
         self._in[edge.dst].remove(edge)
+        self._unmix(_edge_record(edge))
+        delta = self.delta
+        if delta is not None:
+            delta.touched.add(edge.src)
+            delta.touched.add(edge.dst)
+            delta.cut.add((edge.src, edge.dst))
+        if edge.fused:
+            self._fused = None  # a group may split: rebuilt on demand
         self.revision += 1
 
     def remove_node(self, name: str) -> None:
-        """Remove a node and every incident edge."""
+        """Remove a node, every incident edge, its invariant uses and
+        its live-out mark."""
         for edge in list(self._out[name]):
             self.remove_edge(edge)
         for edge in list(self._in[name]):
             self.remove_edge(edge)
         del self._out[name]
         del self._in[name]
-        del self.nodes[name]
-        self.live_out.discard(name)
-        for invariant in self.invariants.values():
-            invariant.consumers.discard(name)
+        node = self.nodes.pop(name)
+        self._count(node.opcode, -1)
+        self._unmix(_node_record(node))
+        self._touch(name)
+        if name in self.live_out:
+            self.discard_live_out(name)
+        for invariant in list(self.invariants.values()):
+            if name in invariant.consumers:
+                self.invariants[invariant.name] = replace(
+                    invariant, consumers=invariant.consumers - {name}
+                )
+                self._unmix(_use_record(invariant.name, name))
         self.revision += 1
 
-    def add_invariant(self, name: str, consumer: str | None = None) -> Invariant:
-        invariant = self.invariants.setdefault(name, Invariant(name))
-        if consumer is not None:
-            invariant.consumers.add(consumer)
+    def add_invariant(
+        self, name: str, consumer: str | None = None, spillable: bool = True
+    ) -> Invariant:
+        """Declare invariant *name* (its ``spillable`` flag is set on
+        first declaration) and record *consumer* as one of its uses."""
+        invariant = self.invariants.get(name)
+        if invariant is None:
+            invariant = self.invariants[name] = Invariant(
+                name, spillable=spillable
+            )
+            self._mix(_invariant_record(invariant))
+        if consumer is not None and consumer not in invariant.consumers:
+            invariant = self.invariants[name] = Invariant(
+                name, invariant.consumers | {consumer}, invariant.spillable
+            )
+            self._mix(_use_record(name, consumer))
         self.revision += 1
         return invariant
 
     def remove_invariant(self, name: str) -> None:
-        del self.invariants[name]
+        invariant = self.invariants.pop(name)
+        self._unmix(_invariant_record(invariant))
+        for consumer in invariant.consumers:
+            self._unmix(_use_record(name, consumer))
         self.revision += 1
+
+    def add_live_out(self, name: str) -> None:
+        """Mark *name*'s value as used after the loop."""
+        if name not in self.live_out:
+            self.live_out = self.live_out | {name}
+            self._mix(_live_out_record(name))
+            self.revision += 1
+
+    def discard_live_out(self, name: str) -> None:
+        if name in self.live_out:
+            self.live_out = self.live_out - {name}
+            self._unmix(_live_out_record(name))
+            self.revision += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -238,84 +441,107 @@ class DDG:
                 result.append(node)
         return result
 
+    def opcode_counts(self) -> dict[Opcode, int]:
+        """Nodes per opcode (read-only; kept by every mutation)."""
+        return self._opcodes
+
     def memory_node_count(self) -> int:
         """Memory operations per iteration — the unit of the paper's
         memory-traffic measurements."""
-        return sum(1 for node in self.nodes.values() if node.is_memory)
-
-    def spill_node_count(self) -> int:
-        return sum(1 for node in self.nodes.values() if node.is_spill)
+        return sum(
+            count for opcode, count in self._opcodes.items()
+            if is_memory_opcode(opcode)
+        )
 
     # ------------------------------------------------------------------
     # fused groups ("complex operations", Section 4.3)
-    def fused_groups(self) -> list[set[str]]:
-        """Connected components of fused edges.
+    def fused_groups(self) -> list[frozenset[str]]:
+        """Connected components of fused edges, ordered by their first
+        member in node order.
 
-        Every node appears in exactly one group; singleton groups are
+        Every node appears in at most one group; singleton groups are
         omitted.  Members of a group must be scheduled at fixed relative
-        offsets (latency of the fused edge's source).
+        offsets (latency of the fused edge's source).  The graph keeps
+        the groups as fused edges come; only a removed fused edge makes
+        the next call rebuild them from the edges.
         """
-        parent: dict[str, str] = {}
-
-        def find(x: str) -> str:
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        for edge in self.edges:
-            if edge.fused:
-                ra, rb = find(edge.src), find(edge.dst)
-                if ra != rb:
-                    parent[ra] = rb
-        groups: dict[str, set[str]] = {}
+        fused = self._fused
+        if fused is None:
+            fused = self._fused = self._rebuild_fused()
+        if not fused:
+            return []
+        groups: list[frozenset[str]] = []
+        seen: set[frozenset[str]] = set()
         for name in self.nodes:
-            root = find(name)
-            groups.setdefault(root, set()).add(name)
-        return [members for members in groups.values() if len(members) > 1]
+            group = fused.get(name)
+            if group is not None and group not in seen:
+                seen.add(group)
+                groups.append(group)
+        return groups
+
+    def _join(self, a: str, b: str) -> None:
+        fused = self._fused
+        group_a = fused.get(a, frozenset((a,)))
+        if b in group_a:
+            return
+        merged = group_a | fused.get(b, frozenset((b,)))
+        for member in merged:
+            fused[member] = merged
+
+    def _rebuild_fused(self) -> dict[str, frozenset[str]]:
+        self._fused = {}
+        for edges in self._out.values():
+            for edge in edges:
+                if edge.fused:
+                    self._join(edge.src, edge.dst)
+        return self._fused
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle without the compiled index: it is a process-local
-        derived view (rebuilt on demand, shared by fingerprint) and
-        would bloat every memo/store entry embedding a graph."""
+        """Pickle content, revision and digest only.  The compiled index
+        and the delta are process-local (the index is rebuilt on demand
+        and shared by fingerprint, the delta points at a live parent);
+        the opcode counts and fused groups are re-derived on load."""
         state = self.__dict__.copy()
-        state.pop("_index", None)
+        for derived in ("_index", "delta", "_opcodes", "_fused"):
+            state.pop(derived, None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._opcodes = {}
+        for node in self.nodes.values():
+            self._count(node.opcode, 1)
+        self._fused = None
 
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "DDG":
-        """An independent clone at this graph's revision.
+        """An independent clone at this graph's revision, recording its
+        :class:`Delta` from this graph.
 
-        Edges are frozen and shared; nodes and invariants are copied (the
-        spiller rewrites ``Node.operands``).  In-edge lists are rebuilt by
-        walking the out-edges in node order, the order adding every edge
-        afresh would produce.  A content fingerprint and (while caching
-        is enabled) a compiled index still valid at this revision carry
-        over, so a clone that is never mutated never re-hashes or
-        re-indexes."""
-        clone = DDG(name or self.name)
-        clone.nodes = {
-            key: Node(node.name, node.opcode, list(node.operands), node.mem)
-            for key, node in self.nodes.items()
-        }
+        Nodes, edges and invariants are immutable and shared; only the
+        containers are new.  In-edge lists are rebuilt by walking the
+        out-edges in node order, the order adding every edge afresh
+        would produce.  The digest, opcode counts and fused groups carry
+        over, and so does (while caching is enabled) a compiled index
+        still valid at this revision, so a clone that is never mutated
+        never re-indexes."""
+        clone = DDG.__new__(DDG)
+        clone.name = name or self.name
+        clone.nodes = dict(self.nodes)
         clone._out = {key: list(edges) for key, edges in self._out.items()}
         incoming: dict[str, list[Edge]] = {key: [] for key in self.nodes}
         for edges in self._out.values():
             for edge in edges:
                 incoming[edge.dst].append(edge)
         clone._in = incoming
-        clone.invariants = {
-            key: Invariant(inv.name, set(inv.consumers), inv.spillable)
-            for key, inv in self.invariants.items()
-        }
-        clone.live_out = set(self.live_out)
+        clone.invariants = dict(self.invariants)
+        clone.live_out = self.live_out
         clone.revision = self.revision
-        fingerprint = getattr(self, "_fingerprint", None)
-        if fingerprint is not None and fingerprint[0] == self.revision:
-            clone._fingerprint = fingerprint
+        clone._digest = self._digest
+        clone._opcodes = dict(self._opcodes)
+        clone._fused = None if self._fused is None else dict(self._fused)
+        clone.delta = Delta(self)
         index = getattr(self, "_index", None)
         if index is not None and index[0] == self.revision:
             # Instances share an index only while caching is enabled,
@@ -325,6 +551,28 @@ class DDG:
             if caching_enabled():
                 clone._index = index
         return clone
+
+    def dirty_since(self, ancestor: "DDG") -> set[str] | None:
+        """The nodes whose edges (or their order) differ from
+        *ancestor*'s, when this graph descends from it through copies
+        each made from an alive, unchanged parent; else ``None``.
+
+        That is every touched node of the chain, plus the nodes whose
+        in-edge lists a copy rebuilt in another order."""
+        touched: set[str] = set()
+        graph = self
+        while graph is not ancestor:
+            delta = graph.delta
+            base = delta.base() if delta is not None else None
+            if base is None:
+                return None
+            touched |= delta.touched
+            graph = base
+        incoming = ancestor._in
+        return touched | {
+            name for name, edges in self._in.items()
+            if name not in touched and edges != incoming[name]
+        }
 
     def validate(self) -> None:
         """Internal consistency checks (used by tests and after spilling)."""

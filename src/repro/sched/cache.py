@@ -4,8 +4,8 @@ The evaluation sweeps the same loops across machine configurations,
 register budgets and heuristic variants, and the spilling driver needs
 the MII of the (mutating) working graph on every round.  All of these
 are pure functions of content, so this module caches them.  Keys start
-from content hashes: :func:`ddg_fingerprint` (the graph *name* is
-excluded, so equal graphs share entries; cached per ``ddg.revision``),
+from content hashes: :func:`ddg_fingerprint` (the graph's running
+digest; the graph *name* is excluded, so equal graphs share entries),
 :func:`machine_key` and :func:`scheduler_key`.
 
 One :class:`Memo` class does the caching, one instance per store
@@ -234,35 +234,9 @@ class Memo:
 # ----------------------------------------------------------------------
 # fingerprints
 def ddg_fingerprint(ddg: DDG) -> str:
-    """Stable content hash of *ddg*, cached per revision."""
-    cached = getattr(ddg, "_fingerprint", None)
-    if cached is not None and cached[0] == ddg.revision:
-        return cached[1]
-    digest = hashlib.sha1()
-    for name in sorted(ddg.nodes):
-        node = ddg.nodes[name]
-        digest.update(
-            f"N{name}|{node.opcode.name}|{','.join(node.operands)}"
-            f"|{node.mem!r}\n".encode()
-        )
-    for edge in sorted(
-        ddg.edges,
-        key=lambda e: (e.src, e.dst, e.kind.value, e.dep.value, e.distance),
-    ):
-        digest.update(
-            f"E{edge.src}>{edge.dst}|{edge.kind.value}|{edge.dep.value}"
-            f"|{edge.distance}|{edge.spillable:d}{edge.fused:d}\n".encode()
-        )
-    for name in sorted(ddg.invariants):
-        invariant = ddg.invariants[name]
-        digest.update(
-            f"I{name}|{','.join(sorted(invariant.consumers))}"
-            f"|{invariant.spillable:d}\n".encode()
-        )
-    digest.update(f"L{','.join(sorted(ddg.live_out))}".encode())
-    fingerprint = digest.hexdigest()
-    ddg._fingerprint = (ddg.revision, fingerprint)
-    return fingerprint
+    """Content hash of *ddg*: its running digest (kept current by every
+    mutation, see :mod:`repro.graph.ddg`) as 64 hex digits."""
+    return f"{ddg._digest:064x}"
 
 
 def schedule_fingerprint(schedule) -> str:

@@ -17,6 +17,11 @@ Design:
   digest into ``root/<namespace>/<aa>/<digest>.pkl``.  Bumping
   :data:`STORE_VERSION` therefore changes every path: old entries are
   simply never found again (and are evicted by size, not migrated).
+  Version 2 made a ``schedule`` entry an ``(ii, times, …)`` tuple;
+  version 3 keys every entry by the graph's running digest (a 256-bit
+  sum of per-record SHA-256 values, see :mod:`repro.graph.ddg`) instead
+  of a SHA-1 over the sorted content, and pickles graphs with immutable
+  nodes, their digest, opcode counts and fused groups.
 * **Atomic writes.**  Entries are written to a unique temp file in the
   same directory and published with :func:`os.replace`, so concurrent
   writers of the same key race to an atomic rename — readers see one
@@ -56,7 +61,7 @@ from repro.faults import plan as faults
 
 #: Bump to invalidate every existing on-disk entry (the version is part
 #: of the hashed key material *and* checked in the entry header).
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 _MAGIC = b"repro-store\x00"
 

@@ -578,6 +578,8 @@ class CompileService:
             )
         self.metrics.observe("cells_batch", time.perf_counter() - started)
         self._record_cache_movement(delta)
+        # a daemon serving only routed cells has no dispatch loop turning
+        self.metrics.maybe_flush()
         by_cell = {result.cell: result.data for result in run.results}
         return [by_cell[cell] for cell in cells], delta.as_dict()
 

@@ -12,9 +12,10 @@ mii             ``compute_mii`` (on memo/store misses)
 schedule        ``ModuloScheduler.schedule`` / ``try_schedule_at``
 lifetimes       register-requirement measurement
 allocation      rotating-file register allocation
-spill           ``apply_spill`` graph transformation
+select          ``select_lifetimes``: spill candidates and the choice
+spill           a spill round's graph copy, delta and ``apply_spill``
 verify          the independent :mod:`repro.verify` oracle
-drive           everything else (selection, memo lookups, bookkeeping)
+drive           everything else (memo lookups, bookkeeping)
 ==============  =====================================================
 
 Accrual is exclusive: while ``allocation`` is pushed inside
@@ -45,6 +46,7 @@ PHASES = (
     "schedule",
     "lifetimes",
     "allocation",
+    "select",
     "spill",
     "verify",
 )

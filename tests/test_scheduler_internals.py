@@ -120,7 +120,7 @@ class _CheckedSwing(SwingScheduler):
             shape = "intersection"
         else:
             shape = "descending" if window.step < 0 else "ascending"
-        self.shapes.add((shape, unit.is_group))
+        self.shapes.add((shape, len(unit.members) > 1))
 
         pristine = _copy_table(mrt)
         reference = _copy_table(mrt)

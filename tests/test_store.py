@@ -676,7 +676,7 @@ class TestPersistedGraphState:
     def test_stored_graphs_carry_no_scratch_state(self, tmp_path):
         """A tiny cold sweep for every scheduler populates a store; no
         schedule entry holds a graph, and every graph pickled into it
-        carries content and fingerprint only, so nothing a search
+        carries content and its digest only, so nothing a search
         attaches to a graph reaches disk."""
         from repro.eval.engine import run_sweep
         from repro.machine import p2l4
@@ -701,7 +701,7 @@ class TestPersistedGraphState:
         assert stray == {}
         assert audit.ALLOWED == {
             "name", "nodes", "invariants", "live_out", "_out", "_in",
-            "revision", "_fingerprint",
+            "revision", "_digest",
         }
 
     def test_a_graph_in_a_schedule_entry_fails_the_audit(self, tmp_path):

@@ -357,6 +357,32 @@ class TestServiceSpans:
         service.close()
 
 
+    def test_routed_cells_flush_before_shutdown(self, tmp_path):
+        # a daemon serving only ``sweep --connect`` cells has no compile
+        # dispatch turning; each cell batch gives the recorder its chance
+        from repro.eval.engine import cell_to_wire, workload_cells
+        from repro.machine.specs import resolve_machine
+        from repro.workloads import perfect_club_like_suite
+
+        db_path = str(tmp_path / "metrics.sqlite")
+        service = CompileService(
+            jobs=1, metrics=MetricsRecorder(db=db_path, flush_interval=0.0)
+        )
+        cells = workload_cells(
+            "ideal", perfect_club_like_suite(size=2),
+            resolve_machine("P2L4"), budget=32,
+        )
+        context = trace.new_trace()
+        with trace.activate(context):
+            service.evaluate_cells([cell_to_wire(cell) for cell in cells])
+        try:
+            with MetricsDB(db_path) as db:
+                names = {s["name"] for s in db.spans()}
+            assert "service.cells" in names
+        finally:
+            service.close()
+
+
 # ======================================================================
 class TestHTTPTransport:
     @pytest.fixture

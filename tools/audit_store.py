@@ -1,5 +1,5 @@
 """Persisted-entry audit: a schedule store holds no graph where it
-needs none, and graphs carry content and their fingerprint only.
+needs none, and graphs carry content and their running digest only.
 
 A ``schedule`` entry is ``(ii, times, …)`` and is rebuilt on the
 caller's graph, so a graph inside one is dead weight every warm read
@@ -24,7 +24,7 @@ import sys
 #: Everything a persisted graph may carry.
 ALLOWED = frozenset({
     "name", "nodes", "invariants", "live_out", "_out", "_in", "revision",
-    "_fingerprint",
+    "_digest",
 })
 
 
@@ -66,7 +66,8 @@ def stray_state(directory: str) -> tuple[int, dict[str, list[str]]]:
         for graph in graphs_in(store.load(path)):
             checked += 1
             found = ["DDG"] if namespace == "schedule" else []
-            found += sorted(set(vars(graph)) - ALLOWED)
+            # what pickling the graph writes (loading re-derives more)
+            found += sorted(set(graph.__getstate__()) - ALLOWED)
             if found:
                 stray[str(path)] = found
     return checked, stray
