@@ -179,6 +179,16 @@ def _live_out_record(name: str) -> int:
     return _record(f"L{name}")
 
 
+def _join(fused: dict[str, frozenset[str]], a: str, b: str) -> None:
+    """Merge the fused groups of *a* and *b* in the member → group map."""
+    group_a = fused.get(a, frozenset((a,)))
+    if b in group_a:
+        return
+    merged = group_a | fused.get(b, frozenset((b,)))
+    for member in merged:
+        fused[member] = merged
+
+
 class Delta:
     """What a graph changed since :meth:`DDG.copy` made it from its
     parent.
@@ -314,7 +324,7 @@ class DDG:
             if edge.src not in delta.added and edge.dst not in delta.added:
                 delta.joins.append((edge.src, edge.dst))
         if edge.fused and self._fused is not None:
-            self._join(edge.src, edge.dst)
+            _join(self._fused, edge.src, edge.dst)
         self.revision += 1
         return edge
 
@@ -467,7 +477,13 @@ class DDG:
         """
         fused = self._fused
         if fused is None:
-            fused = self._fused = self._rebuild_fused()
+            # built aside and published whole: threads may share a graph
+            fused = {}
+            for edges in self._out.values():
+                for edge in edges:
+                    if edge.fused:
+                        _join(fused, edge.src, edge.dst)
+            self._fused = fused
         if not fused:
             return []
         groups: list[frozenset[str]] = []
@@ -478,23 +494,6 @@ class DDG:
                 seen.add(group)
                 groups.append(group)
         return groups
-
-    def _join(self, a: str, b: str) -> None:
-        fused = self._fused
-        group_a = fused.get(a, frozenset((a,)))
-        if b in group_a:
-            return
-        merged = group_a | fused.get(b, frozenset((b,)))
-        for member in merged:
-            fused[member] = merged
-
-    def _rebuild_fused(self) -> dict[str, frozenset[str]]:
-        self._fused = {}
-        for edges in self._out.values():
-            for edge in edges:
-                if edge.fused:
-                    self._join(edge.src, edge.dst)
-        return self._fused
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:

@@ -109,6 +109,60 @@ class TestFusedGroups:
         assert ddg.fused_groups() == [{"a", "b", "c"}]
 
 
+    def test_groups_follow_edges_through_removal_copy_and_pickle(self):
+        import pickle
+
+        ddg = small_graph()
+        for name in ("a", "b", "c"):
+            ddg.add_node(Node(name, Opcode.ADD))
+        ab = ddg.add_edge(Edge("a", "b", EdgeKind.REG, fused=True))
+        bc = ddg.add_edge(Edge("b", "c", EdgeKind.REG, fused=True))
+        ddg.remove_edge(bc)
+        assert ddg.fused_groups() == [{"a", "b"}]
+        clone = ddg.copy()
+        clone.add_edge(Edge("c", "ld", EdgeKind.REG, fused=True))
+        assert clone.fused_groups() == [{"ld", "c"}, {"a", "b"}]
+        assert ddg.fused_groups() == [{"a", "b"}]
+        ddg.remove_edge(ab)
+        assert ddg.fused_groups() == []
+        loaded = pickle.loads(pickle.dumps(clone))
+        assert loaded.fused_groups() == clone.fused_groups()
+        assert loaded.opcode_counts() == clone.opcode_counts()
+
+    def test_threads_rebuilding_groups_agree(self):
+        import sys
+        import threading
+
+        ddg = small_graph()
+        for index in range(600):
+            ddg.add_node(Node(f"n{index}", Opcode.ADD))
+            if index % 4:
+                ddg.add_edge(
+                    Edge(f"n{index - 1}", f"n{index}", EdgeKind.REG, fused=True)
+                )
+        expected = [frozenset(group) for group in ddg.fused_groups()]
+        results, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ddg._fused = None  # as after a fused edge's removal
+                threads = [
+                    threading.Thread(
+                        target=lambda: results.append(ddg.fused_groups())
+                    )
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 160
+        assert all(groups == expected for groups in results)
+
+
 class TestCopy:
     def test_copy_is_deep_for_structure(self):
         original = small_graph()
