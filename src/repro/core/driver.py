@@ -177,7 +177,7 @@ def _run_spilling(
         # Spill into a fresh copy: the graph just scheduled may now be a
         # schedule-memo entry, and memo entries must never mutate.  The
         # copy records its delta from *parent*, which stays alive for
-        # the round, so the child's MII and plan derive from the
+        # the round, so the child's RecMII may be carried from the
         # parent's.
         with phase("spill"):
             parent, work = work, work.copy()

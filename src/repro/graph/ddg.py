@@ -23,8 +23,8 @@ graph's derived facts current: a running content digest (the sum, mod
 and live-out name — incremental hashing after Bellare and Micciancio,
 EUROCRYPT 1997), per-opcode node counts and the fused groups.  A copy
 also records its :class:`Delta` from the graph it was copied from, which
-is what lets a spill round derive its child graph's facts from its
-parent's instead of rebuilding them.
+is what lets a spill round carry its parent's RecMII instead of
+recomputing it.
 """
 
 from __future__ import annotations
@@ -193,27 +193,21 @@ class Delta:
     """What a graph changed since :meth:`DDG.copy` made it from its
     parent.
 
-    ``touched`` names every node whose edges, opcode or existence
-    changed.  ``cut`` holds the ``(src, dst)`` of removed edges,
-    ``joins`` those of added edges between two of the parent's nodes,
-    ``added`` the nodes the parent did not have.  ``opaque`` is set by
-    a change the RecMII argument of :func:`repro.sched.mii.rec_mii`
-    does not cover (a node that changed opcode).  The parent is held
-    weakly: a delta never keeps a graph alive.
+    ``cut`` holds the ``(src, dst)`` of removed edges, ``joins`` those
+    of added edges between two of the parent's nodes, ``added`` the
+    nodes the parent did not have: what
+    :func:`repro.sched.mii.rec_mii` needs to carry the parent's RecMII.
+    The parent is held weakly: a delta never keeps a graph alive.
     """
 
-    __slots__ = (
-        "parent", "revision", "touched", "cut", "joins", "added", "opaque",
-    )
+    __slots__ = ("parent", "revision", "cut", "joins", "added")
 
     def __init__(self, parent: "DDG") -> None:
         self.parent = weakref.ref(parent)
         self.revision = parent.revision
-        self.touched: set[str] = set()
         self.cut: set[tuple[str, str]] = set()
         self.joins: list[tuple[str, str]] = []
         self.added: set[str] = set()
-        self.opaque = False
 
     def base(self) -> "DDG | None":
         """The parent, if it is alive and unchanged since the copy."""
@@ -265,10 +259,6 @@ class DDG:
     def _unmix(self, record: int) -> None:
         self._digest = (self._digest - record) % _MODULUS
 
-    def _touch(self, *names: str) -> None:
-        if self.delta is not None:
-            self.delta.touched.update(names)
-
     def add_node(self, node: Node) -> Node:
         name = node.name
         if name in self.nodes:
@@ -279,28 +269,22 @@ class DDG:
         self._count(node.opcode, 1)
         self._mix(_node_record(node))
         if self.delta is not None:
-            self.delta.touched.add(name)
             self.delta.added.add(name)
         self.revision += 1
         return node
 
     def replace_node(self, node: Node) -> Node:
-        """Swap in *node* for the node of the same name (new operands,
-        say); edges stay."""
+        """Swap in *node* for the node of the same name and opcode (new
+        operands, say); edges stay."""
         old = self.nodes[node.name]
+        if old.opcode is not node.opcode:
+            raise ValueError(
+                f"node {node.name!r} would change opcode "
+                f"{old.opcode.name} -> {node.opcode.name}"
+            )
         self.nodes[node.name] = node
         self._unmix(_node_record(old))
         self._mix(_node_record(node))
-        if old.opcode is not node.opcode:
-            self._count(old.opcode, -1)
-            self._count(node.opcode, 1)
-            if self.delta is not None:
-                # the latency of every edge out of it may have changed
-                self.delta.opaque = True
-                self._touch(
-                    node.name, *self.predecessors(node.name),
-                    *self.successors(node.name),
-                )
         self.revision += 1
         return node
 
@@ -319,8 +303,6 @@ class DDG:
         self._mix(_edge_record(edge))
         delta = self.delta
         if delta is not None:
-            delta.touched.add(edge.src)
-            delta.touched.add(edge.dst)
             if edge.src not in delta.added and edge.dst not in delta.added:
                 delta.joins.append((edge.src, edge.dst))
         if edge.fused and self._fused is not None:
@@ -334,8 +316,6 @@ class DDG:
         self._unmix(_edge_record(edge))
         delta = self.delta
         if delta is not None:
-            delta.touched.add(edge.src)
-            delta.touched.add(edge.dst)
             delta.cut.add((edge.src, edge.dst))
         if edge.fused:
             self._fused = None  # a group may split: rebuilt on demand
@@ -353,7 +333,6 @@ class DDG:
         node = self.nodes.pop(name)
         self._count(node.opcode, -1)
         self._unmix(_node_record(node))
-        self._touch(name)
         if name in self.live_out:
             self.discard_live_out(name)
         for invariant in list(self.invariants.values()):
@@ -550,28 +529,6 @@ class DDG:
             if caching_enabled():
                 clone._index = index
         return clone
-
-    def dirty_since(self, ancestor: "DDG") -> set[str] | None:
-        """The nodes whose edges (or their order) differ from
-        *ancestor*'s, when this graph descends from it through copies
-        each made from an alive, unchanged parent; else ``None``.
-
-        That is every touched node of the chain, plus the nodes whose
-        in-edge lists a copy rebuilt in another order."""
-        touched: set[str] = set()
-        graph = self
-        while graph is not ancestor:
-            delta = graph.delta
-            base = delta.base() if delta is not None else None
-            if base is None:
-                return None
-            touched |= delta.touched
-            graph = base
-        incoming = ancestor._in
-        return touched | {
-            name for name, edges in self._in.items()
-            if name not in touched and edges != incoming[name]
-        }
 
     def validate(self) -> None:
         """Internal consistency checks (used by tests and after spilling)."""

@@ -13,23 +13,13 @@ is planned once per search and handed to every attempt.
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass
 
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
-from repro.sched.cache import cached_mii, machine_key
-from repro.sched.groups import Plan, derive_plan, plan_units
+from repro.sched.cache import cached_mii
+from repro.sched.groups import Plan, plan_units
 from repro.sched.schedule import Schedule
-
-#: A parent search's plan and the nodes its child graph changed: what
-#: :meth:`ModuloScheduler._plan` derives the child's plan from.
-Seed = tuple[Plan, set[str]]
-
-#: Per thread, the last search's ``(scheduler class, machine key,
-#: graph, revision, plan)``.  One entry, replaced by every search, so a
-#: plan outlives its search by one round at most.
-_last_plan = threading.local()
 
 
 class ScheduleError(RuntimeError):
@@ -75,39 +65,9 @@ class ModuloScheduler(abc.ABC):
         """Try to build a schedule at exactly *ii* from the search's
         ``effort.plan``; return start times or ``None`` on failure."""
 
-    def _plan(
-        self, ddg: DDG, machine: MachineConfig, seed: Seed | None = None
-    ) -> Plan:
-        """The II-independent facts every attempt of one search shares,
-        derived from *seed* when there is one."""
-        if seed is None:
-            return plan_units(ddg, machine.latencies_for(ddg))
-        parent, dirty = seed
-        latencies = dict(parent.latencies)
-        for name in dirty:
-            node = ddg.nodes.get(name)
-            if node is None:
-                latencies.pop(name, None)
-            else:
-                latencies[name] = machine.latency(node.opcode)
-        return derive_plan(parent, ddg, latencies, dirty)
-
-    def _search_plan(self, ddg: DDG, machine: MachineConfig) -> Plan:
-        """:meth:`_plan` for one search, seeded by this thread's last
-        search when *ddg* descends from that search's graph (same
-        scheduler class and machine) by copies and deltas."""
-        key = (type(self), machine_key(machine))
-        seed = None
-        last = getattr(_last_plan, "entry", None)
-        if last is not None and last[0] == key:
-            ancestor = last[1]
-            if last[2] == ancestor.revision:
-                dirty = ddg.dirty_since(ancestor)
-                if dirty is not None:
-                    seed = (last[3], dirty)
-        plan = self._plan(ddg, machine, seed)
-        _last_plan.entry = (key, ddg, ddg.revision, plan)
-        return plan
+    def _plan(self, ddg: DDG, machine: MachineConfig) -> Plan:
+        """The II-independent facts every attempt of one search shares."""
+        return plan_units(ddg, machine.latencies_for(ddg))
 
     # ------------------------------------------------------------------
     def try_schedule_at(
@@ -115,9 +75,7 @@ class ModuloScheduler(abc.ABC):
     ) -> Schedule | None:
         """One attempt at a fixed II (used by the II-increase driver and
         the combined method's binary search)."""
-        effort = SearchEffort(
-            attempts=1, plan=self._search_plan(ddg, machine)
-        )
+        effort = SearchEffort(attempts=1, plan=self._plan(ddg, machine))
         times = self._attempt(ddg, machine, ii, effort)
         if times is None:
             return None
@@ -149,7 +107,7 @@ class ModuloScheduler(abc.ABC):
         start = max(mii, min_ii or 1)
         if max_ii is None:
             max_ii = start + _search_window(ddg, machine)
-        effort = SearchEffort(plan=self._search_plan(ddg, machine))
+        effort = SearchEffort(plan=self._plan(ddg, machine))
         for ii in range(start, max_ii + 1):
             effort.attempts += 1
             times = self._attempt(ddg, machine, ii, effort)

@@ -46,7 +46,10 @@ def build_units(ddg: DDG, latencies: dict[str, int]) -> dict[str, Unit]:
         position = {name: i for i, name in enumerate(ddg.nodes)}
         for group in groups:
             members = _member_set(group, position)
-            unit = _group_unit(ddg, members, latencies)
+            offsets = _group_offsets(ddg, members, latencies)
+            leader = min(offsets, key=lambda n: (offsets[n], n))
+            base = offsets[leader]
+            unit = Unit(leader, {n: off - base for n, off in offsets.items()})
             for member in members:
                 units[member] = unit
     for name in ddg.nodes:
@@ -56,19 +59,9 @@ def build_units(ddg: DDG, latencies: dict[str, int]) -> dict[str, Unit]:
 
 
 def _member_set(group: frozenset[str], position: dict[str, int]) -> set[str]:
-    """*group* as a set filled in node order: the iteration order (and
-    so the offset walk's start and the members' order) every plan of
-    the graph uses."""
+    """*group* as a set filled in node order, which fixes the offset
+    walk's start and the members' order for a given graph."""
     return set(sorted(group, key=position.__getitem__))
-
-
-def _group_unit(
-    ddg: DDG, members: set[str], latencies: dict[str, int]
-) -> Unit:
-    offsets = _group_offsets(ddg, members, latencies)
-    leader = min(offsets, key=lambda n: (offsets[n], n))
-    base = offsets[leader]
-    return Unit(leader, {n: off - base for n, off in offsets.items()})
 
 
 def _group_offsets(
@@ -127,15 +120,9 @@ class Plan:
     ``None`` when none does (a violated distance-0 edge, or inconsistent
     fused offsets).
 
-    ``limits`` keeps, per leader whose unit has internal non-fused
-    dependences, the bound they set (``None``: none holds); ``min_ii``
-    is their maximum.
-
-    A plan lives for one search: it travels in the search's
+    A plan lives for one search only: it travels in the search's
     :class:`~repro.sched.base.SearchEffort`, never attached to the
-    graph, its index or a latency view.  The next search on the same
-    thread may derive its own plan from it (:func:`derive_plan`) when
-    its graph is a copy of this one plus a delta; then it is dropped.
+    graph, its index or a latency view.
     """
 
     latencies: dict[str, int]
@@ -144,7 +131,6 @@ class Plan:
     min_ii: int | None
     inputs: dict[str, Deps]
     outputs: dict[str, Deps]
-    limits: dict[str, int | None] = field(default_factory=dict)
     #: HRMS-family schedulers add the ordering's inputs.
     ordering: OrderPlan | None = None
     #: Swing adds each unit's external dependences keyed by leader as
@@ -159,124 +145,42 @@ def plan_units(ddg: DDG, latencies: dict[str, int]) -> Plan:
         units = build_units(ddg, latencies)
     except ValueError:
         return Plan(latencies, {}, {}, None, {}, {})
-    return _assemble(ddg, latencies, units, None)
-
-
-def derive_plan(
-    parent: Plan, ddg: DDG, latencies: dict[str, int], dirty: set[str]
-) -> Plan:
-    """The :class:`Plan` of *ddg*, a copy of *parent*'s graph changed
-    only at the *dirty* nodes (see :meth:`repro.graph.ddg.DDG.dirty_since`):
-    a unit without a dirty member keeps its parent's unit, dependences
-    and limit; the others are built afresh.  Equal to
-    :func:`plan_units` on *ddg*."""
-    if not parent.units:
-        return plan_units(ddg, latencies)
-    old_units = parent.units
-    stale = {old_units[name].leader for name in dirty if name in old_units}
-    units: dict[str, Unit] = {}
-    groups = ddg.fused_groups()
-    if groups:
-        position: dict[str, int] | None = None
-        for group in groups:
-            unit = old_units.get(next(iter(group)))
-            if (
-                unit is None or unit.leader in stale
-                or len(unit.members) != len(group)
-            ):
-                if position is None:
-                    position = {name: i for i, name in enumerate(ddg.nodes)}
-                try:
-                    unit = _group_unit(
-                        ddg, _member_set(group, position), latencies
-                    )
-                except ValueError:
-                    return Plan(latencies, {}, {}, None, {}, {})
-            for member in group:
-                units[member] = unit
-    for name in ddg.nodes:
-        if name not in units:
-            unit = old_units.get(name)
-            if unit is None or name in dirty or len(unit.members) != 1:
-                unit = Unit(name, {name: 0})
-            units[name] = unit
-    return _assemble(ddg, latencies, units, parent)
-
-
-def _assemble(
-    ddg: DDG,
-    latencies: dict[str, int],
-    units: dict[str, Unit],
-    parent: Plan | None,
-) -> Plan:
-    """The plan over *units*; a unit *parent* also has keeps its
-    dependences and limit from there."""
     leaders: dict[str, Unit] = {}
     for unit in units.values():
         leaders[unit.leader] = unit
+    min_ii: int | None = 1
     inputs: dict[str, Deps] = {}
     outputs: dict[str, Deps] = {}
-    limits: dict[str, int | None] = {}
-    kept = parent.leaders if parent is not None else {}
     for leader, unit in leaders.items():
-        if kept.get(leader) is unit:
-            inputs[leader] = parent.inputs[leader]
-            outputs[leader] = parent.outputs[leader]
-            if leader in parent.limits:
-                limits[leader] = parent.limits[leader]
-            continue
-        limit = _unit_deps(ddg, unit, latencies, inputs, outputs)
-        if limit != 1:
-            limits[leader] = limit
-    min_ii: int | None = 1
-    for limit in limits.values():
-        if limit is None:
-            min_ii = None
-            break
-        min_ii = max(min_ii, limit)
-    return Plan(latencies, units, leaders, min_ii, inputs, outputs, limits)
-
-
-def _unit_deps(
-    ddg: DDG,
-    unit: Unit,
-    latencies: dict[str, int],
-    inputs: dict[str, Deps],
-    outputs: dict[str, Deps],
-) -> int | None:
-    """Record *unit*'s external dependences; return the smallest II at
-    which its internal non-fused dependences hold at the fixed offsets
-    (``None``: none)."""
-    members = unit.members
-    unit_in: list[tuple[str, int, int]] = []
-    unit_out: list[tuple[str, int, int]] = []
-    limit: int | None = 1
-    for member, offset in unit:
-        for edge in ddg.iter_in_edges(member):
-            if edge.src not in members:
-                unit_in.append((
-                    edge.src,
-                    edge_latency(edge, latencies) - offset,
-                    edge.distance,
-                ))
-        for edge in ddg.iter_out_edges(member):
-            latency = edge_latency(edge, latencies)
-            if edge.dst not in members:
-                unit_out.append((edge.dst, latency + offset, edge.distance))
-                continue
-            if edge.fused or limit is None:
-                continue
-            # An internal edge needs members[dst] + II * distance
-            # - offset - latency >= 0 (fused edges hold by
-            # construction).
-            excess = latency + offset - members[edge.dst]
-            if edge.distance:
-                limit = max(limit, -(-excess // edge.distance))
-            elif excess > 0:
-                limit = None
-    inputs[unit.leader] = tuple(unit_in)
-    outputs[unit.leader] = tuple(unit_out)
-    return limit
+        members = unit.members
+        unit_in: list[tuple[str, int, int]] = []
+        unit_out: list[tuple[str, int, int]] = []
+        for member, offset in unit:
+            for edge in ddg.iter_in_edges(member):
+                if edge.src not in members:
+                    unit_in.append((
+                        edge.src,
+                        edge_latency(edge, latencies) - offset,
+                        edge.distance,
+                    ))
+            for edge in ddg.iter_out_edges(member):
+                latency = edge_latency(edge, latencies)
+                if edge.dst not in members:
+                    unit_out.append((edge.dst, latency + offset, edge.distance))
+                    continue
+                if edge.fused or min_ii is None:
+                    continue
+                # An internal edge needs members[dst] + II * distance
+                # - offset - latency >= 0 (fused edges hold by
+                # construction).
+                excess = latency + offset - members[edge.dst]
+                if edge.distance:
+                    min_ii = max(min_ii, -(-excess // edge.distance))
+                elif excess > 0:
+                    min_ii = None
+        inputs[leader] = tuple(unit_in)
+        outputs[leader] = tuple(unit_out)
+    return Plan(latencies, units, leaders, min_ii, inputs, outputs)
 
 
 def earliest_start(

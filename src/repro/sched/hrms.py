@@ -23,7 +23,7 @@ from repro.graph.analysis import asap_alap
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.machine.mrt import ModuloReservationTable
-from repro.sched.base import ModuloScheduler, SearchEffort, Seed
+from repro.sched.base import ModuloScheduler, SearchEffort
 from repro.sched.groups import (
     Plan,
     Unit,
@@ -39,16 +39,9 @@ class HRMSScheduler(ModuloScheduler):
 
     name = "HRMS"
 
-    def _plan(
-        self, ddg: DDG, machine: MachineConfig, seed: Seed | None = None
-    ) -> Plan:
-        plan = super()._plan(ddg, machine, seed)
-        if seed is not None and seed[0].ordering is not None:
-            plan.ordering = plan_order(
-                ddg, plan.latencies, seed[0].ordering, seed[1]
-            )
-        else:
-            plan.ordering = plan_order(ddg, plan.latencies)
+    def _plan(self, ddg: DDG, machine: MachineConfig) -> Plan:
+        plan = super()._plan(ddg, machine)
+        plan.ordering = plan_order(ddg, plan.latencies)
         return plan
 
     def _attempt(

@@ -80,7 +80,7 @@ def _carried_rec_mii(ddg: DDG, machine: MachineConfig) -> int | None:
     from repro.sched.cache import caching_enabled
 
     delta = ddg.delta
-    if delta is None or delta.opaque or not caching_enabled():
+    if delta is None or not caching_enabled():
         return None
     parent = delta.base()
     cached = getattr(parent, "_index", None)

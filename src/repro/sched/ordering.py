@@ -74,31 +74,13 @@ class OrderPlan:
     sets: list[set[str]]
 
 
-def plan_order(
-    ddg: DDG,
-    latencies: dict[str, int],
-    parent: OrderPlan | None = None,
-    dirty: set[str] = frozenset(),
-) -> OrderPlan:
-    """Build the :class:`OrderPlan` of *ddg* under *latencies*; with
-    *parent*, the plan of a graph *ddg* differs from only at the *dirty*
-    nodes, the other nodes keep their neighbour sets."""
-    if parent is None:
-        preds = {name: ddg.predecessors(name) for name in ddg.nodes}
-        succs = {name: ddg.successors(name) for name in ddg.nodes}
-    else:
-        old_preds, old_succs = parent.preds, parent.succs
-        preds = {
-            name: ddg.predecessors(name) if name in dirty
-            else old_preds[name]
-            for name in ddg.nodes
-        }
-        succs = {
-            name: ddg.successors(name) if name in dirty
-            else old_succs[name]
-            for name in ddg.nodes
-        }
-    return OrderPlan(preds, succs, partition_sets(ddg, latencies))
+def plan_order(ddg: DDG, latencies: dict[str, int]) -> OrderPlan:
+    """Build the :class:`OrderPlan` of *ddg* under *latencies*."""
+    return OrderPlan(
+        preds={name: ddg.predecessors(name) for name in ddg.nodes},
+        succs={name: ddg.successors(name) for name in ddg.nodes},
+        sets=partition_sets(ddg, latencies),
+    )
 
 
 def order_nodes(

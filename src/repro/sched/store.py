@@ -21,7 +21,7 @@ Design:
   version 3 keys every entry by the graph's running digest (a 256-bit
   sum of per-record SHA-256 values, see :mod:`repro.graph.ddg`) instead
   of a SHA-1 over the sorted content, and pickles graphs with immutable
-  nodes, their digest, opcode counts and fused groups.
+  nodes and their digest.
 * **Atomic writes.**  Entries are written to a unique temp file in the
   same directory and published with :func:`os.replace`, so concurrent
   writers of the same key race to an atomic rename — readers see one

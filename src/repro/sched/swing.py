@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.graph.ddg import DDG
 from repro.machine.machine import MachineConfig
 from repro.machine.mrt import ModuloReservationTable
-from repro.sched.base import SearchEffort, Seed
+from repro.sched.base import SearchEffort
 from repro.sched.groups import Deps, Plan, Unit, commit_unit, fit_unit
 from repro.sched.hrms import HRMSScheduler
 
@@ -41,18 +41,10 @@ class SwingScheduler(HRMSScheduler):
 
     name = "Swing"
 
-    def _plan(
-        self, ddg: DDG, machine: MachineConfig, seed: Seed | None = None
-    ) -> Plan:
-        plan = super()._plan(ddg, machine, seed)
-        kept, known = {}, {}
-        if seed is not None and seed[0].neighbours is not None:
-            kept, known = seed[0].leaders, seed[0].neighbours
+    def _plan(self, ddg: DDG, machine: MachineConfig) -> Plan:
+        plan = super()._plan(ddg, machine)
         plan.neighbours = {
-            leader: (
-                known[leader] if kept.get(leader) is unit
-                else _neighbours(ddg, unit)
-            )
+            leader: _neighbours(ddg, unit)
             for leader, unit in plan.leaders.items()
         }
         return plan

@@ -27,6 +27,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ddg.add_node(Node("n", Opcode.MUL))
 
+    def test_replace_node_keeps_opcode(self):
+        ddg = small_graph()
+        before = ddg_fingerprint(ddg)
+        with pytest.raises(ValueError):
+            ddg.replace_node(replace(ddg.nodes["mul"], opcode=Opcode.ADD))
+        assert ddg.nodes["mul"].opcode is Opcode.MUL
+        assert ddg_fingerprint(ddg) == before
+
     def test_edge_requires_endpoints(self):
         ddg = DDG()
         ddg.add_node(Node("n", Opcode.ADD))

@@ -3,15 +3,16 @@ parent equals the one built from scratch.
 
 A spilled graph is a copy of its parent plus a delta.  Its fingerprint
 is a running digest, its ResMII comes from opcode counts, its RecMII may
-be carried from the parent and its scheduling plan derived from the
-parent search's plan.  These tests run whole sweeps and check, on every
-graph the spilling driver produces, each of those against a from-scratch
-computation: the digest against one summed over the whole graph (and,
-across graphs, against the sorted SHA-1 scheme it replaced), the MII
-against a node walk plus a freshly built index, the shared
+be carried from the parent and its scheduling units come from the fused
+groups the graph keeps.  These tests run whole sweeps and check, on
+every graph the spilling driver produces, each of those against a
+from-scratch computation: the digest against one summed over the whole
+graph (and, across graphs, against the sorted SHA-1 scheme it replaced),
+the MII against a node walk plus a freshly built index, the shared
 :class:`~repro.graph.index.DDGIndex` against a fresh build (by name),
-and every derived plan against :func:`~repro.sched.groups.plan_units`
-plus the scheduler's additions.
+the fused groups against a union-find over every edge, and every
+search's plan against the plan of a twin graph whose groups are rebuilt
+from its edges.
 """
 
 from __future__ import annotations
@@ -125,9 +126,39 @@ def index_content(index) -> tuple:
     return sorted(names), edges, sccs
 
 
+def union_find_groups(ddg) -> list[list[str]]:
+    """Connected components of fused edges (two or more members), each
+    in node order, ordered by first member."""
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for edge in ddg.edges:
+        if edge.fused:
+            a, b = find(edge.src), find(edge.dst)
+            if a != b:
+                parent[a] = b
+    groups: dict[str, list[str]] = {}
+    for name in ddg.nodes:
+        groups.setdefault(find(name), []).append(name)
+    return [members for members in groups.values() if len(members) > 1]
+
+
+def rebuilt_twin(ddg):
+    """*ddg*'s twin with the same adjacency lists, whose fused groups
+    are rebuilt from its edges on first use."""
+    twin = ddg.copy()
+    twin._in = {name: list(edges) for name, edges in ddg._in.items()}
+    twin._fused = None
+    return twin
+
+
 _PLAN_FIELDS = (
     "latencies", "units", "leaders", "min_ii", "inputs", "outputs",
-    "limits", "ordering", "neighbours",
+    "ordering", "neighbours",
 )
 
 
@@ -138,7 +169,7 @@ class DeltaOracle:
     def __init__(self) -> None:
         self.graphs = 0
         self.carried = 0
-        self.seeded = 0
+        self.plans = 0
         self.classes: dict[str, str] = {}
         self.legacy: dict[str, str] = {}
 
@@ -160,31 +191,33 @@ class DeltaOracle:
             self.carried += value is not None
             return value
 
-        def checker(plan):
-            def checked_plan(scheduler, ddg, machine, seed=None):
-                derived = plan(scheduler, ddg, machine, seed)
-                if seed is not None:
-                    self.seeded += 1
-                    fresh = plan(scheduler, ddg, machine, None)
-                    for name in _PLAN_FIELDS:
-                        assert getattr(derived, name) == getattr(
-                            fresh, name
-                        ), name
-                    # IMS walks the leaders in order
-                    assert list(derived.leaders) == list(fresh.leaders)
-                return derived
+        schedule = base_mod.ModuloScheduler.schedule
+        try_schedule_at = base_mod.ModuloScheduler.try_schedule_at
 
-            return checked_plan
+        def check_plan(scheduler, ddg, machine) -> None:
+            if ddg.delta is None:
+                return
+            self.plans += 1
+            kept = scheduler._plan(ddg, machine)
+            fresh = scheduler._plan(rebuilt_twin(ddg), machine)
+            for name in _PLAN_FIELDS:
+                assert getattr(kept, name) == getattr(fresh, name), name
+            # IMS walks the leaders in order
+            assert list(kept.leaders) == list(fresh.leaders)
+
+        def checked_schedule(scheduler, ddg, machine, *args, **kwargs):
+            check_plan(scheduler, ddg, machine)
+            return schedule(scheduler, ddg, machine, *args, **kwargs)
+
+        def checked_try(scheduler, ddg, machine, *args, **kwargs):
+            check_plan(scheduler, ddg, machine)
+            return try_schedule_at(scheduler, ddg, machine, *args, **kwargs)
 
         monkeypatch.setattr(driver_mod, "cached_mii", checked_mii)
         monkeypatch.setattr(mii_mod, "_carried_rec_mii", counted_carry)
-        # every class's own part of the plan, the subclasses' in full
-        for cls in (
-            base_mod.ModuloScheduler, HRMSScheduler, IMSScheduler,
-            SwingScheduler,
-        ):
-            if "_plan" in vars(cls):
-                monkeypatch.setattr(cls, "_plan", checker(vars(cls)["_plan"]))
+        for cls in (HRMSScheduler, IMSScheduler, SwingScheduler):
+            monkeypatch.setattr(cls, "schedule", checked_schedule)
+            monkeypatch.setattr(cls, "try_schedule_at", checked_try)
 
     def check_graph(self, ddg, machine, mii: int) -> None:
         self.graphs += 1
@@ -205,6 +238,11 @@ class DeltaOracle:
         assert ddg.memory_node_count() == sum(
             node.is_memory for node in ddg.nodes.values()
         )
+        position = {name: i for i, name in enumerate(ddg.nodes)}
+        assert [
+            sorted(group, key=position.__getitem__)
+            for group in ddg.fused_groups()
+        ] == union_find_groups(ddg)
 
 
 @pytest.fixture
@@ -240,7 +278,7 @@ class TestSpilledGraphsMatchFromScratch:
             ("hrms", "ims", "swing"),
         )
         assert oracle.graphs > 100
-        assert oracle.carried and oracle.seeded
+        assert oracle.carried and oracle.plans
 
     def test_default_sweep(self, oracle):
         """The graphs of the default ``repro sweep`` (HRMS, 160 loops)."""
@@ -249,7 +287,7 @@ class TestSpilledGraphsMatchFromScratch:
             ("hrms",),
         )
         assert oracle.graphs > 1000
-        assert oracle.carried and oracle.seeded
+        assert oracle.carried and oracle.plans
 
 
 # ----------------------------------------------------------------------
