@@ -44,7 +44,6 @@ from repro.lifetimes.lifetime import (
     variant_lifetimes,
 )
 from repro.core.spill import _load_is_rematerializable
-from repro.lifetimes.index import lifetime_index
 from repro.lifetimes.requirements import RegisterReport
 from repro.sched.schedule import Schedule
 from repro.trace.profile import phase
@@ -130,66 +129,42 @@ def _spill_is_effective(ddg: DDG, lifetime: Lifetime) -> bool:
     )
 
 
-def spill_candidates(schedule: Schedule) -> list[SpillCandidate]:
-    """All lifetimes of *schedule* that may legally and usefully be
-    spilled.
+def _replacement_length(schedule: Schedule, lifetime: Lifetime) -> int:
+    """Length of the fused lifetimes that replace a spilled one.
 
-    Whether a spill is effective, what it costs and which latency
-    bounds its replacement depend on graph content only, so they are
-    worked out once per value and kept on the graph's
-    :class:`~repro.lifetimes.index.LifetimeIndex`."""
-    ddg = schedule.ddg
+    Spilling swaps the original lifetime for a register window of exactly
+    the spill load's latency before each use (plus the producer-to-store
+    window for ordinary variants); if the original lifetime is not longer
+    than that, the spill frees no registers and must not be selected —
+    otherwise zero-cost candidates (rematerializable single-use loads)
+    would be picked forever without progress.
+    """
     machine = schedule.machine
     load_latency = machine.latency(Opcode.SPILL_LOAD)
-    facts = lifetime_index(ddg).spill_facts
+    if lifetime.is_invariant:
+        return load_latency
+    producer = schedule.ddg.nodes[lifetime.value]
+    if producer.opcode is Opcode.LOAD and _load_is_rematerializable(
+        schedule.ddg, lifetime.value
+    ):
+        return load_latency
+    return max(load_latency, machine.latency(producer.opcode))
+
+
+def spill_candidates(schedule: Schedule) -> list[SpillCandidate]:
+    """All lifetimes of *schedule* that may legally and usefully be
+    spilled."""
+    ddg = schedule.ddg
     result = []
     for lifetime in variant_lifetimes(schedule) + invariant_lifetimes(schedule):
         if not lifetime.spillable or lifetime.length <= 0 or not lifetime.consumers:
             continue
-        key = (lifetime.is_invariant, lifetime.value)
-        fact = facts.get(key)
-        if fact is None:
-            fact = facts[key] = _spill_facts(ddg, lifetime)
-        effective, cost, opcode = fact
-        if not effective:
+        if not _spill_is_effective(ddg, lifetime):
             continue
-        replacement = load_latency
-        if opcode is not None:
-            replacement = max(load_latency, machine.latency(opcode))
-        if lifetime.length <= replacement:
+        if lifetime.length <= _replacement_length(schedule, lifetime):
             continue
-        result.append(SpillCandidate(lifetime, cost))
+        result.append(SpillCandidate(lifetime, spill_cost(ddg, lifetime)))
     return result
-
-
-def _spill_facts(
-    ddg: DDG, lifetime: Lifetime
-) -> tuple[bool, int, Opcode | None]:
-    """``(effective, cost, opcode)`` of spilling *lifetime*: whether it
-    shortens a lifetime (:func:`_spill_is_effective`), its
-    :func:`spill_cost`, and the producer opcode whose latency bounds
-    the replacement lifetimes with the spill load's (``None``: the
-    load's alone).
-
-    Spilling swaps the original lifetime for a register window of
-    exactly the spill load's latency before each use (plus the
-    producer-to-store window for ordinary variants); if the original
-    lifetime is not longer than that, the spill frees no registers and
-    must not be selected — otherwise zero-cost candidates
-    (rematerializable single-use loads) would be picked forever without
-    progress.
-    """
-    opcode = None
-    if not lifetime.is_invariant:
-        producer = ddg.nodes[lifetime.value]
-        if not (
-            producer.opcode is Opcode.LOAD
-            and _load_is_rematerializable(ddg, lifetime.value)
-        ):
-            opcode = producer.opcode
-    return (
-        _spill_is_effective(ddg, lifetime), spill_cost(ddg, lifetime), opcode,
-    )
 
 
 def select_lifetimes(

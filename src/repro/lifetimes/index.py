@@ -53,7 +53,7 @@ class LifetimeIndex:
 
     __slots__ = (
         "index", "prod", "coff", "cdst", "cdist",
-        "spillable", "consumers", "opcodes", "maxdist", "spill_facts",
+        "spillable", "consumers", "opcodes", "maxdist",
     )
 
     @classmethod
@@ -97,10 +97,6 @@ class LifetimeIndex:
         self.consumers = tuple(consumers)
         self.opcodes = tuple(opcodes)
         self.maxdist = maxdist
-        #: Per-value facts of spilling it, filled lazily by
-        #: :func:`repro.core.select.spill_candidates` (they depend on
-        #: content only, so content-identical graphs share them).
-        self.spill_facts = {}
         return self
 
 
