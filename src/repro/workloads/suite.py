@@ -10,7 +10,6 @@ variable (160 if unset) so the benchmark harness can run paper-scale
 
 from __future__ import annotations
 
-import functools
 import os
 import random
 from dataclasses import dataclass
@@ -31,22 +30,13 @@ DEFAULT_SEED = 1996  # the paper's year; any seed gives a valid suite
 
 @dataclass(frozen=True)
 class Workload:
-    """One loop of the evaluation suite.
-
-    The dependence graph is parsed on first use of :attr:`ddg`: the
-    experiment engine works from ``source`` (through
-    :func:`repro.graph.builder.cached_ddg`), so a sweep never needs a
-    suite's own graphs."""
+    """One loop of the evaluation suite."""
 
     name: str
     source: str
+    ddg: DDG
     weight: int
     category: str
-
-    @functools.cached_property
-    def ddg(self) -> DDG:
-        """This workload's own (caller-mutable) graph."""
-        return ddg_from_source(self.source, name=self.name)
 
 
 def suite_size(default: int = DEFAULT_SUITE_SIZE) -> int:
@@ -69,7 +59,16 @@ def perfect_club_like_suite(
     workloads: list[Workload] = []
 
     def add(name: str, source: str, weight: int, category: str) -> None:
-        workloads.append(Workload(name, source, weight, category))
+        ddg = ddg_from_source(source, name=name)
+        workloads.append(
+            Workload(
+                name=name,
+                source=source,
+                ddg=ddg,
+                weight=weight,
+                category=category,
+            )
+        )
 
     add("apsi47_like", apsi47_source(), max(8, int(rng.lognormvariate(5.0, 1.0) * 6)), "high_pressure")
     add("apsi50_like", apsi50_source(), max(8, int(rng.lognormvariate(5.0, 1.0) * 24)), "nonconvergent")
@@ -97,6 +96,12 @@ def random_suite(
     if size is None:
         size = suite_size()
     return [
-        Workload(spec.name, spec.source, spec.weight, spec.category)
+        Workload(
+            name=spec.name,
+            source=spec.source,
+            ddg=ddg_from_source(spec.source, name=spec.name),
+            weight=spec.weight,
+            category=spec.category,
+        )
         for spec in random_loop_specs(size, seed, params, **overrides)
     ]
