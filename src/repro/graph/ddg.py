@@ -21,7 +21,8 @@ every change goes through a :class:`DDG` method.  Each method keeps the
 graph's derived facts current: a running content digest (the sum, mod
 2**256, of one SHA-256 value per node, edge, invariant, invariant use
 and live-out name — incremental hashing after Bellare and Micciancio,
-EUROCRYPT 1997), per-opcode node counts and the fused groups.  A copy
+EUROCRYPT 1997; summed over the graph on first use, updated by every
+mutation after that), per-opcode node counts and the fused groups.  A copy
 also records its :class:`Delta` from the graph it was copied from, which
 is what lets a spill round carry its parent's RecMII instead of
 recomputing it.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.ir.operations import (
@@ -242,8 +244,10 @@ class DDG:
         #: can be cached per revision and recomputed only after the graph
         #: actually changed.
         self.revision = 0
-        #: Running content digest (see the module docstring).
-        self._digest = 0
+        #: Running content digest (see the module docstring); ``None``
+        #: until :meth:`digest` first sums it, so building a graph that
+        #: is never fingerprinted hashes nothing.
+        self._digest: int | None = None
         #: Node count per opcode (no zero entries).
         self._opcodes: dict[Opcode, int] = {}
         #: Member → its fused group, for nodes in a group of two or
@@ -253,11 +257,27 @@ class DDG:
 
     # ------------------------------------------------------------------
     # construction
-    def _mix(self, record: int) -> None:
-        self._digest = (self._digest + record) % _MODULUS
+    def digest(self) -> int:
+        """The running content digest, summed over the whole graph on
+        first use and kept current by every mutation after that."""
+        if self._digest is None:
+            total = sum(map(_node_record, self.nodes.values()))
+            total += sum(map(_edge_record, self.edges))
+            for invariant in self.invariants.values():
+                total += _invariant_record(invariant)
+                for consumer in invariant.consumers:
+                    total += _use_record(invariant.name, consumer)
+            total += sum(map(_live_out_record, self.live_out))
+            self._digest = total % _MODULUS
+        return self._digest
 
-    def _unmix(self, record: int) -> None:
-        self._digest = (self._digest - record) % _MODULUS
+    def _mix(self, record: Callable[..., int], *args) -> None:
+        if self._digest is not None:
+            self._digest = (self._digest + record(*args)) % _MODULUS
+
+    def _unmix(self, record: Callable[..., int], *args) -> None:
+        if self._digest is not None:
+            self._digest = (self._digest - record(*args)) % _MODULUS
 
     def add_node(self, node: Node) -> Node:
         name = node.name
@@ -267,7 +287,7 @@ class DDG:
         self._out[name] = []
         self._in[name] = []
         self._count(node.opcode, 1)
-        self._mix(_node_record(node))
+        self._mix(_node_record, node)
         if self.delta is not None:
             self.delta.added.add(name)
         self.revision += 1
@@ -283,8 +303,8 @@ class DDG:
                 f"{old.opcode.name} -> {node.opcode.name}"
             )
         self.nodes[node.name] = node
-        self._unmix(_node_record(old))
-        self._mix(_node_record(node))
+        self._unmix(_node_record, old)
+        self._mix(_node_record, node)
         self.revision += 1
         return node
 
@@ -300,7 +320,7 @@ class DDG:
             raise KeyError(f"edge endpoints missing: {edge}")
         self._out[edge.src].append(edge)
         self._in[edge.dst].append(edge)
-        self._mix(_edge_record(edge))
+        self._mix(_edge_record, edge)
         delta = self.delta
         if delta is not None:
             if edge.src not in delta.added and edge.dst not in delta.added:
@@ -313,7 +333,7 @@ class DDG:
     def remove_edge(self, edge: Edge) -> None:
         self._out[edge.src].remove(edge)
         self._in[edge.dst].remove(edge)
-        self._unmix(_edge_record(edge))
+        self._unmix(_edge_record, edge)
         delta = self.delta
         if delta is not None:
             delta.cut.add((edge.src, edge.dst))
@@ -332,7 +352,7 @@ class DDG:
         del self._in[name]
         node = self.nodes.pop(name)
         self._count(node.opcode, -1)
-        self._unmix(_node_record(node))
+        self._unmix(_node_record, node)
         if name in self.live_out:
             self.discard_live_out(name)
         for invariant in list(self.invariants.values()):
@@ -340,7 +360,7 @@ class DDG:
                 self.invariants[invariant.name] = replace(
                     invariant, consumers=invariant.consumers - {name}
                 )
-                self._unmix(_use_record(invariant.name, name))
+                self._unmix(_use_record, invariant.name, name)
         self.revision += 1
 
     def add_invariant(
@@ -353,33 +373,33 @@ class DDG:
             invariant = self.invariants[name] = Invariant(
                 name, spillable=spillable
             )
-            self._mix(_invariant_record(invariant))
+            self._mix(_invariant_record, invariant)
         if consumer is not None and consumer not in invariant.consumers:
             invariant = self.invariants[name] = Invariant(
                 name, invariant.consumers | {consumer}, invariant.spillable
             )
-            self._mix(_use_record(name, consumer))
+            self._mix(_use_record, name, consumer)
         self.revision += 1
         return invariant
 
     def remove_invariant(self, name: str) -> None:
         invariant = self.invariants.pop(name)
-        self._unmix(_invariant_record(invariant))
+        self._unmix(_invariant_record, invariant)
         for consumer in invariant.consumers:
-            self._unmix(_use_record(name, consumer))
+            self._unmix(_use_record, name, consumer)
         self.revision += 1
 
     def add_live_out(self, name: str) -> None:
         """Mark *name*'s value as used after the loop."""
         if name not in self.live_out:
             self.live_out = self.live_out | {name}
-            self._mix(_live_out_record(name))
+            self._mix(_live_out_record, name)
             self.revision += 1
 
     def discard_live_out(self, name: str) -> None:
         if name in self.live_out:
             self.live_out = self.live_out - {name}
-            self._unmix(_live_out_record(name))
+            self._unmix(_live_out_record, name)
             self.revision += 1
 
     # ------------------------------------------------------------------

@@ -234,9 +234,9 @@ class Memo:
 # ----------------------------------------------------------------------
 # fingerprints
 def ddg_fingerprint(ddg: DDG) -> str:
-    """Content hash of *ddg*: its running digest (kept current by every
-    mutation, see :mod:`repro.graph.ddg`) as 64 hex digits."""
-    return f"{ddg._digest:064x}"
+    """Content hash of *ddg*: its running digest (:meth:`DDG.digest`,
+    kept current by every mutation) as 64 hex digits."""
+    return f"{ddg.digest():064x}"
 
 
 def schedule_fingerprint(schedule) -> str:

@@ -196,6 +196,24 @@ class TestCopy:
         assert not copied.spillable
         assert copied.fused
 
+    @pytest.mark.parametrize("fingerprinted", [True, False])
+    def test_digest_of_a_mutated_copy(self, fingerprinted):
+        """Whether the digest was kept through the mutations or is first
+        summed after them, it is the one a fresh build gives."""
+        ddg = small_graph()
+        ddg.add_invariant("k", consumer="mul")
+        if fingerprinted:
+            ddg_fingerprint(ddg)
+        clone = ddg.copy()
+        clone.remove_edge(clone.out_edges("ld")[0])
+        clone.add_node(Node("extra", Opcode.ADD, ("mul",)))
+        clone.add_edge(Edge("mul", "extra", EdgeKind.REG, fused=True))
+        clone.add_invariant("k", consumer="extra")
+        clone.add_live_out("extra")
+        clone.remove_node("st")
+        assert ddg_fingerprint(clone) == ddg_fingerprint(replayed_copy(clone))
+        assert ddg_fingerprint(ddg) == ddg_fingerprint(replayed_copy(ddg))
+
 
 def replayed_copy(ddg):
     """The clone adding every node, edge and invariant afresh would give:

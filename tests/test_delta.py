@@ -169,6 +169,7 @@ class DeltaOracle:
     def __init__(self) -> None:
         self.graphs = 0
         self.carried = 0
+        self.kept = 0
         self.plans = 0
         self.classes: dict[str, str] = {}
         self.legacy: dict[str, str] = {}
@@ -182,6 +183,8 @@ class DeltaOracle:
         carried_rec_mii = mii_mod._carried_rec_mii
 
         def checked_mii(ddg, machine):
+            # a digest already summed was kept through the spill round
+            self.kept += ddg._digest is not None
             value = cached_mii(ddg, machine)
             self.check_graph(ddg, machine, value)
             return value
@@ -278,7 +281,7 @@ class TestSpilledGraphsMatchFromScratch:
             ("hrms", "ims", "swing"),
         )
         assert oracle.graphs > 100
-        assert oracle.carried and oracle.plans
+        assert oracle.carried and oracle.plans and oracle.kept
 
     def test_default_sweep(self, oracle):
         """The graphs of the default ``repro sweep`` (HRMS, 160 loops)."""
@@ -287,7 +290,7 @@ class TestSpilledGraphsMatchFromScratch:
             ("hrms",),
         )
         assert oracle.graphs > 1000
-        assert oracle.carried and oracle.plans
+        assert oracle.carried and oracle.plans and oracle.kept
 
 
 # ----------------------------------------------------------------------
