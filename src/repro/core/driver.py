@@ -175,12 +175,9 @@ def _run_spilling(
                 report, work,
             )
         # Spill into a fresh copy: the graph just scheduled may now be a
-        # schedule-memo entry, and memo entries must never mutate.  The
-        # copy records its delta from *parent*, which stays alive for
-        # the round, so the child's RecMII may be carried from the
-        # parent's.
+        # schedule-memo entry, and memo entries must never mutate.
         with phase("spill"):
-            parent, work = work, work.copy()
+            work = work.copy()
             for candidate in candidates:
                 apply_spill(
                     work,

@@ -22,17 +22,15 @@ graph's derived facts current: a running content digest (the sum, mod
 2**256, of one SHA-256 value per node, edge, invariant, invariant use
 and live-out name — incremental hashing after Bellare and Micciancio,
 EUROCRYPT 1997; summed over the graph on first use, updated by every
-mutation after that), per-opcode node counts and the fused groups.  A copy
-also records its :class:`Delta` from the graph it was copied from, which
-is what lets a spill round carry its parent's RecMII instead of
-recomputing it.
+mutation after that) and per-opcode node counts.  Everything else a
+scheduler needs (the fused groups, the compiled index and with it the
+RecMII) is derived from the graph in hand.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -191,46 +189,13 @@ def _join(fused: dict[str, frozenset[str]], a: str, b: str) -> None:
         fused[member] = merged
 
 
-class Delta:
-    """What a graph changed since :meth:`DDG.copy` made it from its
-    parent.
-
-    ``cut`` holds the ``(src, dst)`` of removed edges, ``joins`` those
-    of added edges between two of the parent's nodes, ``added`` the
-    nodes the parent did not have: what
-    :func:`repro.sched.mii.rec_mii` needs to carry the parent's RecMII.
-    The parent is held weakly: a delta never keeps a graph alive.
-    """
-
-    __slots__ = ("parent", "revision", "cut", "joins", "added")
-
-    def __init__(self, parent: "DDG") -> None:
-        self.parent = weakref.ref(parent)
-        self.revision = parent.revision
-        self.cut: set[tuple[str, str]] = set()
-        self.joins: list[tuple[str, str]] = []
-        self.added: set[str] = set()
-
-    def base(self) -> "DDG | None":
-        """The parent, if it is alive and unchanged since the copy."""
-        parent = self.parent()
-        if parent is None or parent.revision != self.revision:
-            return None
-        return parent
-
-
 class DDG:
     """Dependence graph with adjacency indexes.
 
     Nodes, edges and invariants are immutable and :meth:`copy` shares
     them; the spiller transforms a copy through the mutation methods,
-    which keep the digest, the opcode counts and the fused groups
-    current.
+    which keep the digest and the opcode counts current.
     """
-
-    #: This graph's :class:`Delta` from the graph it was copied from
-    #: (``None`` unless it is a copy; never pickled).
-    delta: Delta | None = None
 
     def __init__(self, name: str = "loop") -> None:
         self.name = name
@@ -250,10 +215,6 @@ class DDG:
         self._digest: int | None = None
         #: Node count per opcode (no zero entries).
         self._opcodes: dict[Opcode, int] = {}
-        #: Member → its fused group, for nodes in a group of two or
-        #: more; ``None`` until :meth:`fused_groups` rebuilds it after a
-        #: fused edge was removed.
-        self._fused: dict[str, frozenset[str]] | None = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -288,8 +249,6 @@ class DDG:
         self._in[name] = []
         self._count(node.opcode, 1)
         self._mix(_node_record, node)
-        if self.delta is not None:
-            self.delta.added.add(name)
         self.revision += 1
         return node
 
@@ -321,12 +280,6 @@ class DDG:
         self._out[edge.src].append(edge)
         self._in[edge.dst].append(edge)
         self._mix(_edge_record, edge)
-        delta = self.delta
-        if delta is not None:
-            if edge.src not in delta.added and edge.dst not in delta.added:
-                delta.joins.append((edge.src, edge.dst))
-        if edge.fused and self._fused is not None:
-            _join(self._fused, edge.src, edge.dst)
         self.revision += 1
         return edge
 
@@ -334,11 +287,6 @@ class DDG:
         self._out[edge.src].remove(edge)
         self._in[edge.dst].remove(edge)
         self._unmix(_edge_record, edge)
-        delta = self.delta
-        if delta is not None:
-            delta.cut.add((edge.src, edge.dst))
-        if edge.fused:
-            self._fused = None  # a group may split: rebuilt on demand
         self.revision += 1
 
     def remove_node(self, name: str) -> None:
@@ -464,44 +412,35 @@ class DDG:
 
     # ------------------------------------------------------------------
     # fused groups ("complex operations", Section 4.3)
-    def fused_groups(self) -> list[frozenset[str]]:
-        """Connected components of fused edges, ordered by their first
-        member in node order.
+    def fused_groups(self) -> list[tuple[str, ...]]:
+        """Connected components of fused edges, each a tuple in node
+        order, ordered by their first member.
 
         Every node appears in at most one group; singleton groups are
         omitted.  Members of a group must be scheduled at fixed relative
-        offsets (latency of the fused edge's source).  The graph keeps
-        the groups as fused edges come; only a removed fused edge makes
-        the next call rebuild them from the edges.
+        offsets (latency of the fused edge's source).
         """
-        fused = self._fused
-        if fused is None:
-            # built aside and published whole: threads may share a graph
-            fused = {}
-            for edges in self._out.values():
-                for edge in edges:
-                    if edge.fused:
-                        _join(fused, edge.src, edge.dst)
-            self._fused = fused
+        fused: dict[str, frozenset[str]] = {}
+        for edges in self._out.values():
+            for edge in edges:
+                if edge.fused:
+                    _join(fused, edge.src, edge.dst)
         if not fused:
             return []
-        groups: list[frozenset[str]] = []
-        seen: set[frozenset[str]] = set()
+        groups: dict[frozenset[str], list[str]] = {}
         for name in self.nodes:
             group = fused.get(name)
-            if group is not None and group not in seen:
-                seen.add(group)
-                groups.append(group)
-        return groups
+            if group is not None:
+                groups.setdefault(group, []).append(name)
+        return [tuple(members) for members in groups.values()]
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle content, revision and digest only.  The compiled index
-        and the delta are process-local (the index is rebuilt on demand
-        and shared by fingerprint, the delta points at a live parent);
-        the opcode counts and fused groups are re-derived on load."""
+        is process-local (rebuilt on demand and shared by fingerprint);
+        the opcode counts are re-derived on load."""
         state = self.__dict__.copy()
-        for derived in ("_index", "delta", "_opcodes", "_fused"):
+        for derived in ("_index", "_opcodes"):
             state.pop(derived, None)
         return state
 
@@ -510,20 +449,18 @@ class DDG:
         self._opcodes = {}
         for node in self.nodes.values():
             self._count(node.opcode, 1)
-        self._fused = None
 
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "DDG":
-        """An independent clone at this graph's revision, recording its
-        :class:`Delta` from this graph.
+        """An independent clone at this graph's revision.
 
         Nodes, edges and invariants are immutable and shared; only the
         containers are new.  In-edge lists are rebuilt by walking the
         out-edges in node order, the order adding every edge afresh
-        would produce.  The digest, opcode counts and fused groups carry
-        over, and so does (while caching is enabled) a compiled index
-        still valid at this revision, so a clone that is never mutated
-        never re-indexes."""
+        would produce.  The digest and opcode counts carry over, and so
+        does (while caching is enabled) a compiled index still valid at
+        this revision, so a clone that is never mutated never
+        re-indexes."""
         clone = DDG.__new__(DDG)
         clone.name = name or self.name
         clone.nodes = dict(self.nodes)
@@ -538,8 +475,6 @@ class DDG:
         clone.revision = self.revision
         clone._digest = self._digest
         clone._opcodes = dict(self._opcodes)
-        clone._fused = None if self._fused is None else dict(self._fused)
-        clone.delta = Delta(self)
         index = getattr(self, "_index", None)
         if index is not None and index[0] == self.revision:
             # Instances share an index only while caching is enabled,

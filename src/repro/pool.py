@@ -153,9 +153,13 @@ def imap_resilient(fn, items, jobs: int, chunksize: int = 1):
 def warm_pool(jobs: int) -> None:
     """Spin the persistent pool up ahead of traffic (``repro serve``
     does this at startup so the first batch does not pay worker
-    creation).  ``jobs <= 1`` means in-process compilation: no pool."""
+    creation): an executor starts its workers on its first tasks, so
+    each worker gets a no-op.  ``jobs <= 1`` means in-process
+    compilation: no pool."""
     if jobs > 1:
-        worker_pool(jobs)
+        pool = worker_pool(jobs)
+        for future in [pool.submit(int) for _ in range(jobs)]:
+            future.result()
 
 
 def _probe_worker(delay: float) -> tuple:

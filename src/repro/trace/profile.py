@@ -13,7 +13,7 @@ schedule        ``ModuloScheduler.schedule`` / ``try_schedule_at``
 lifetimes       register-requirement measurement
 allocation      rotating-file register allocation
 select          ``select_lifetimes``: spill candidates and the choice
-spill           a spill round's graph copy, delta and ``apply_spill``
+spill           a spill round's graph copy and ``apply_spill``
 verify          the independent :mod:`repro.verify` oracle
 drive           everything else (memo lookups, bookkeeping)
 ==============  =====================================================

@@ -1,18 +1,16 @@
-"""Spilling as a graph delta: every fact a spill round derives from its
-parent equals the one built from scratch.
+"""Spilling into a copy: every fact a spilled graph keeps or shares
+equals the one built from scratch.
 
-A spilled graph is a copy of its parent plus a delta.  Its fingerprint
-is a running digest, its ResMII comes from opcode counts, its RecMII may
-be carried from the parent and its scheduling units come from the fused
-groups the graph keeps.  These tests run whole sweeps and check, on
+A spilled graph is a copy of its parent changed by spill code.  Its
+fingerprint is a running digest kept through the changes, its ResMII
+comes from kept opcode counts, and its index may be shared with a
+content-identical graph.  These tests run whole sweeps and check, on
 every graph the spilling driver produces, each of those against a
 from-scratch computation: the digest against one summed over the whole
 graph (and, across graphs, against the sorted SHA-1 scheme it replaced),
 the MII against a node walk plus a freshly built index, the shared
 :class:`~repro.graph.index.DDGIndex` against a fresh build (by name),
-the fused groups against a union-find over every edge, and every
-search's plan against the plan of a twin graph whose groups are rebuilt
-from its edges.
+and the fused groups against a union-find over every edge.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.core import driver as driver_mod
 from repro.eval.engine import run_sweep
 from repro.graph.index import DDGIndex, get_index
 from repro.machine.specs import resolve_machine
-from repro.sched import base as base_mod
 from repro.sched import mii as mii_mod
 from repro.sched.cache import ddg_fingerprint
 from repro.sched.registry import create_scheduler
@@ -126,7 +123,7 @@ def index_content(index) -> tuple:
     return sorted(names), edges, sccs
 
 
-def union_find_groups(ddg) -> list[list[str]]:
+def union_find_groups(ddg) -> list[tuple[str, ...]]:
     """Connected components of fused edges (two or more members), each
     in node order, ordered by first member."""
     parent: dict[str, str] = {}
@@ -144,43 +141,21 @@ def union_find_groups(ddg) -> list[list[str]]:
     groups: dict[str, list[str]] = {}
     for name in ddg.nodes:
         groups.setdefault(find(name), []).append(name)
-    return [members for members in groups.values() if len(members) > 1]
-
-
-def rebuilt_twin(ddg):
-    """*ddg*'s twin with the same adjacency lists, whose fused groups
-    are rebuilt from its edges on first use."""
-    twin = ddg.copy()
-    twin._in = {name: list(edges) for name, edges in ddg._in.items()}
-    twin._fused = None
-    return twin
-
-
-_PLAN_FIELDS = (
-    "latencies", "units", "leaders", "min_ii", "inputs", "outputs",
-    "ordering", "neighbours",
-)
+    return [tuple(members) for members in groups.values() if len(members) > 1]
 
 
 # ----------------------------------------------------------------------
-class DeltaOracle:
-    """Checks, through wrapped seams, every spilled graph of a sweep."""
+class SpillOracle:
+    """Checks, through a wrapped seam, every spilled graph of a sweep."""
 
     def __init__(self) -> None:
         self.graphs = 0
-        self.carried = 0
         self.kept = 0
-        self.plans = 0
         self.classes: dict[str, str] = {}
         self.legacy: dict[str, str] = {}
 
     def install(self, monkeypatch) -> None:
-        from repro.sched.hrms import HRMSScheduler
-        from repro.sched.ims import IMSScheduler
-        from repro.sched.swing import SwingScheduler
-
         cached_mii = driver_mod.cached_mii
-        carried_rec_mii = mii_mod._carried_rec_mii
 
         def checked_mii(ddg, machine):
             # a digest already summed was kept through the spill round
@@ -189,38 +164,7 @@ class DeltaOracle:
             self.check_graph(ddg, machine, value)
             return value
 
-        def counted_carry(ddg, machine):
-            value = carried_rec_mii(ddg, machine)
-            self.carried += value is not None
-            return value
-
-        schedule = base_mod.ModuloScheduler.schedule
-        try_schedule_at = base_mod.ModuloScheduler.try_schedule_at
-
-        def check_plan(scheduler, ddg, machine) -> None:
-            if ddg.delta is None:
-                return
-            self.plans += 1
-            kept = scheduler._plan(ddg, machine)
-            fresh = scheduler._plan(rebuilt_twin(ddg), machine)
-            for name in _PLAN_FIELDS:
-                assert getattr(kept, name) == getattr(fresh, name), name
-            # IMS walks the leaders in order
-            assert list(kept.leaders) == list(fresh.leaders)
-
-        def checked_schedule(scheduler, ddg, machine, *args, **kwargs):
-            check_plan(scheduler, ddg, machine)
-            return schedule(scheduler, ddg, machine, *args, **kwargs)
-
-        def checked_try(scheduler, ddg, machine, *args, **kwargs):
-            check_plan(scheduler, ddg, machine)
-            return try_schedule_at(scheduler, ddg, machine, *args, **kwargs)
-
         monkeypatch.setattr(driver_mod, "cached_mii", checked_mii)
-        monkeypatch.setattr(mii_mod, "_carried_rec_mii", counted_carry)
-        for cls in (HRMSScheduler, IMSScheduler, SwingScheduler):
-            monkeypatch.setattr(cls, "schedule", checked_schedule)
-            monkeypatch.setattr(cls, "try_schedule_at", checked_try)
 
     def check_graph(self, ddg, machine, mii: int) -> None:
         self.graphs += 1
@@ -241,11 +185,7 @@ class DeltaOracle:
         assert ddg.memory_node_count() == sum(
             node.is_memory for node in ddg.nodes.values()
         )
-        position = {name: i for i, name in enumerate(ddg.nodes)}
-        assert [
-            sorted(group, key=position.__getitem__)
-            for group in ddg.fused_groups()
-        ] == union_find_groups(ddg)
+        assert ddg.fused_groups() == union_find_groups(ddg)
 
 
 @pytest.fixture
@@ -255,7 +195,7 @@ def oracle(monkeypatch):
 
     sched_cache.clear()
     index_mod.clear_cache()
-    checker = DeltaOracle()
+    checker = SpillOracle()
     checker.install(monkeypatch)
     return checker
 
@@ -281,7 +221,7 @@ class TestSpilledGraphsMatchFromScratch:
             ("hrms", "ims", "swing"),
         )
         assert oracle.graphs > 100
-        assert oracle.carried and oracle.plans and oracle.kept
+        assert oracle.kept
 
     def test_default_sweep(self, oracle):
         """The graphs of the default ``repro sweep`` (HRMS, 160 loops)."""
@@ -290,7 +230,7 @@ class TestSpilledGraphsMatchFromScratch:
             ("hrms",),
         )
         assert oracle.graphs > 1000
-        assert oracle.carried and oracle.plans and oracle.kept
+        assert oracle.kept
 
 
 # ----------------------------------------------------------------------
@@ -319,8 +259,8 @@ def _lifetime(ddg, value):
     return Lifetime(value, 0, 1, 0, consumers)
 
 
-class TestRecMIICarry:
-    """The carry must refuse every delta that may change a cycle."""
+class TestSpilledChildMII:
+    """A copy's MII is its own after any edit, never its parent's."""
 
     @pytest.fixture
     def parent(self):
@@ -330,14 +270,12 @@ class TestRecMIICarry:
         assert mii_mod.compute_mii(ddg, machine) == fresh_mii(ddg, machine)
         return ddg, machine
 
-    def test_spill_off_every_cycle_is_carried(self, parent):
+    def test_spill_off_every_cycle(self, parent):
         from repro.core.spill import apply_spill
 
         ddg, machine = parent
         child = ddg.copy()
         apply_spill(child, _lifetime(child, "mul"))
-        carried = mii_mod._carried_rec_mii(child, machine)
-        assert carried is not None
         assert mii_mod.compute_mii(child, machine) == fresh_mii(child, machine)
 
     def test_spill_on_a_recurrence_is_recomputed(self, parent):
@@ -346,7 +284,6 @@ class TestRecMIICarry:
         ddg, machine = parent
         child = ddg.copy()
         apply_spill(child, _lifetime(child, "add"))
-        assert mii_mod._carried_rec_mii(child, machine) is None
         # the spill path lengthens the recurrence
         assert fresh_mii(child, machine) > fresh_mii(ddg, machine)
         assert mii_mod.compute_mii(child, machine) == fresh_mii(child, machine)
@@ -357,7 +294,6 @@ class TestRecMIICarry:
         ddg, machine = parent
         child = ddg.copy()
         child.add_edge(Edge("st", "mul", EdgeKind.MEM, DepKind.ANTI, 1))
-        assert mii_mod._carried_rec_mii(child, machine) is None
         assert mii_mod.compute_mii(child, machine) == fresh_mii(child, machine)
 
     def test_a_new_node_bridging_a_cycle_is_recomputed(self, parent):
@@ -369,7 +305,6 @@ class TestRecMIICarry:
         child.add_node(Node("x", Opcode.ADD))
         child.add_edge(Edge("st", "x", EdgeKind.MEM, DepKind.FLOW, 0))
         child.add_edge(Edge("x", "mul", EdgeKind.REG, distance=3))
-        assert mii_mod._carried_rec_mii(child, machine) is None
         assert mii_mod.compute_mii(child, machine) == fresh_mii(child, machine)
 
     def test_a_cycle_among_new_nodes_is_recomputed(self, parent):
@@ -382,6 +317,5 @@ class TestRecMIICarry:
         child.add_node(Node("y", Opcode.ADD))
         child.add_edge(Edge("x", "y", EdgeKind.REG))
         child.add_edge(Edge("y", "x", EdgeKind.REG, distance=1))
-        assert mii_mod._carried_rec_mii(child, machine) is None
         assert fresh_mii(child, machine) > fresh_mii(ddg, machine)
         assert mii_mod.compute_mii(child, machine) == fresh_mii(child, machine)

@@ -142,6 +142,37 @@ class TestDeterminismAcrossHashSeeds:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_work_counts_independent_of_hash_seed(self):
+        """The same sweep does the same work under any hash seed: a
+        fused group's members used to be walked and probed in string
+        hash order, which moved ``mrt_probes`` but not the bytes."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        counts = []
+        for seed in ("1", "2"):
+            completed = subprocess.run(
+                [sys.executable, os.path.join(root, "tools", "work_counts.py"),
+                 "--schedulers", "hrms,ims,swing", "--size", "4",
+                 "--machines", "P2L4", "--budgets", "32",
+                 "--artifacts", "fig8"],
+                cwd=root, check=True, stdout=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                         PYTHONHASHSEED=seed),
+            )
+            counts.append(json.loads(completed.stdout))
+        assert set(counts[0]) == {"hrms", "ims", "swing"}
+        for moved in counts[0].values():
+            assert set(moved) == {
+                "relax_visits", "mrt_probes", "index_builds",
+                "lifetime_visits", "alloc_probes",
+            }
+            assert moved["mrt_probes"] > 0
+        assert counts[0] == counts[1]
+
 
 class TestGoldenBytes:
     #: sha256 of the --json-out file of GOLDEN_SWEEP; a change means the
